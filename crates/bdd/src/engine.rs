@@ -839,6 +839,15 @@ impl PredEngine {
         self.bdd.cell_mask(a.node, offset, k)
     }
 
+    /// Radix probe under fixed higher levels: the occupancy mask of the
+    /// `k` diagram levels below `path`, one 6-level cell per path entry.
+    /// Speaks **physical** levels (see [`Bdd::level_mask`]); translate a
+    /// header through [`PredEngine::var_order`] to follow the same path.
+    pub fn level_mask(&mut self, a: &Pred, path: &[u8], k: u32) -> u64 {
+        self.check(a);
+        self.bdd.level_mask(a.node, path, k)
+    }
+
     /// The sorted support set (variables tested anywhere) of `a`.
     pub fn support(&self, a: &Pred) -> Vec<u32> {
         self.check(a);
@@ -1361,6 +1370,49 @@ mod tests {
         assert_ne!(m, 0);
         assert_eq!(e.telemetry().live_nodes, nodes, "probe must not allocate");
         assert_eq!(e.telemetry().cell_probes, probes0 + 1);
+    }
+
+    #[test]
+    fn level_mask_matches_brute_force_under_every_path() {
+        // 14 levels: two full 6-level cells and a 2-level tail.
+        let bits = 14u32;
+        let mut e = PredEngine::new(bits);
+        let a = e.range(0, bits, 1000, 9000);
+        let b = e.prefix(0, bits, 0b10_1101_1000_0000, 9);
+        let nb = e.not(&b);
+        let cases = [
+            e.false_pred(),
+            e.true_pred(),
+            e.exact(0, bits, 0x2A7F),
+            e.var(13),
+            e.diff(&a, &b),
+            e.or(&a, &nb),
+        ];
+        let header = |h: u64| -> Vec<bool> { (0..bits).map(|i| (h >> (bits - 1 - i)) & 1 == 1).collect() };
+        for (i, p) in cases.iter().enumerate() {
+            // Depth 0 equals the plain top-level probe.
+            assert_eq!(e.level_mask(p, &[], 6), e.cell_mask(p, 0, 6), "case {i} at the root");
+            for c0 in 0..64u64 {
+                let mut want1 = 0u64;
+                for c1 in 0..64u64 {
+                    let mut want2 = 0u64;
+                    for c2 in 0..4u64 {
+                        if e.eval(p, &header((c0 << 8) | (c1 << 2) | c2)) {
+                            want1 |= 1 << c1;
+                            want2 |= 1 << c2;
+                        }
+                    }
+                    let got2 = e.level_mask(p, &[c0 as u8, c1 as u8], 2);
+                    assert_eq!(got2, want2, "case {i} under {c0}/{c1}");
+                }
+                assert_eq!(e.level_mask(p, &[c0 as u8], 6), want1, "case {i} under {c0}");
+            }
+        }
+        let nodes = e.telemetry().live_nodes;
+        let probes = e.telemetry().cell_probes;
+        e.level_mask(&cases[4], &[17, 3], 2);
+        assert_eq!(e.telemetry().live_nodes, nodes, "probe must not allocate");
+        assert_eq!(e.telemetry().cell_probes, probes + 1);
     }
 
     #[test]

@@ -51,7 +51,10 @@ pub use engine::{
     EngineTelemetry, OpCounterGuard, OpKind, OpStats, Pred, PredEngine, RawPred, StaleHandle,
     DEFAULT_GC_NODE_THRESHOLD,
 };
-pub use manager::{Bdd, BddStats, CacheConfig, NodeId, NodeView, FALSE, TRUE};
+pub use manager::{
+    Bdd, BddStats, CacheConfig, Constraint, MixBuildHasher, MixHasher, NodeId, NodeView, FALSE,
+    TRUE,
+};
 pub use order::VarOrder;
 
 #[cfg(test)]

@@ -302,24 +302,52 @@ impl NodeView {
         cur == TRUE
     }
 
+    /// Prepares the partial assignment `bits` (indexed by **logical** bit;
+    /// `None` leaves the bit free) for [`NodeView::intersects`] probes
+    /// against many roots.
+    pub fn constrain<'a>(&self, bits: &'a [Option<bool>]) -> Constraint<'a> {
+        debug_assert!(bits.len() >= self.num_vars as usize);
+        let deepest = (0..self.num_vars)
+            .filter(|&l| bits[l as usize].is_some())
+            .map(|l| self.order.phys(l))
+            .max();
+        Constraint { bits, deepest }
+    }
+
     /// True when the predicate rooted at `a` is satisfiable under the
-    /// partial assignment `constraint` (indexed by **logical** bit;
-    /// `None` leaves the bit free). This is the snapshot query tier's
-    /// "does this class intersect this prefix" primitive: a guided DFS
-    /// that forces constrained bits and explores both branches of free
-    /// ones, memoizing visited nodes — satisfiability under a
-    /// per-variable constraint is a function of the node alone, so the
-    /// visited set is sound and the walk is linear in reachable nodes.
-    pub fn intersects(&self, a: NodeId, constraint: &[Option<bool>]) -> bool {
-        debug_assert!(constraint.len() >= self.num_vars as usize);
-        if a == FALSE {
-            return false;
-        }
-        if a == TRUE {
-            return true;
+    /// partial assignment `c`. This is the snapshot query tier's "does
+    /// this class intersect this prefix" primitive.
+    ///
+    /// A node below the deepest fixed level is satisfiable unless it is
+    /// FALSE, so the walk never descends past that level. Down to the
+    /// first free variable above it — for a prefix on the leading field,
+    /// all the way — the walk is a single path and allocates nothing;
+    /// from there it is a guided DFS that forces constrained bits,
+    /// explores both branches of free ones and memoizes visited nodes
+    /// (satisfiability under a per-variable constraint is a function of
+    /// the node alone, so the visited set is sound and the walk is linear
+    /// in reachable nodes).
+    pub fn intersects(&self, a: NodeId, c: &Constraint<'_>) -> bool {
+        let Some(deepest) = c.deepest else {
+            return a != FALSE;
+        };
+        let mut n = a;
+        loop {
+            if n <= TRUE {
+                return n == TRUE;
+            }
+            let s = self.spine.slot(n);
+            if s.var() > deepest {
+                return true;
+            }
+            match c.bits[self.order.log(s.var()) as usize] {
+                Some(true) => n = s.high(),
+                Some(false) => n = s.low(),
+                None => break,
+            }
         }
         let mut visited = std::collections::HashSet::new();
-        let mut stack = vec![a];
+        let mut stack = vec![n];
         while let Some(n) = stack.pop() {
             if n == TRUE {
                 return true;
@@ -328,8 +356,10 @@ impl NodeView {
                 continue;
             }
             let s = self.spine.slot(n);
-            let v = self.order.log(s.var()) as usize;
-            match constraint[v] {
+            if s.var() > deepest {
+                return true;
+            }
+            match c.bits[self.order.log(s.var()) as usize] {
                 Some(true) => stack.push(s.high()),
                 Some(false) => stack.push(s.low()),
                 None => {
@@ -342,6 +372,13 @@ impl NodeView {
     }
 }
 
+/// A partial header assignment prepared by [`NodeView::constrain`].
+pub struct Constraint<'a> {
+    bits: &'a [Option<bool>],
+    /// Deepest **physical** level the assignment fixes, if it fixes any.
+    deepest: Option<u32>,
+}
+
 /// Multiplicative mix of a node key `(var, low, high)` for the
 /// unique-table bucket chains. No DoS resistance needed.
 #[inline]
@@ -352,6 +389,49 @@ fn node_hash(var: u32, low: NodeId, high: NodeId) -> u64 {
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 32;
     h
+}
+
+/// The unique table's multiplicative mix as a [`std::hash::Hasher`], for
+/// in-process tables keyed on ids this program generated itself (node
+/// ids, arena indices). No DoS resistance: never key it on outside input.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MixHasher(u64);
+
+/// `BuildHasher` for [`MixHasher`]-keyed maps.
+pub type MixBuildHasher = std::hash::BuildHasherDefault<MixHasher>;
+
+impl std::hash::Hasher for MixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(32) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 29;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^ (h >> 32)
+    }
 }
 
 /// Operation tags for computed-cache keys. Tag 0 marks an empty slot, so
@@ -1478,47 +1558,79 @@ impl Bdd {
         for i in 0..k {
             cv[i as usize] = self.order.phys(offset + i);
         }
-        cv[..k as usize].sort_unstable();
-        let last = cv[(k - 1) as usize];
-        // All cells under `prefix` at `depth`: `span` consecutive bits.
-        let fill = |prefix: u64, depth: u32| -> u64 {
-            let span = 1u64 << (k - depth);
-            if span == 64 {
-                u64::MAX
-            } else {
-                ((1u64 << span) - 1) << (prefix * span)
-            }
-        };
+        let cv = &mut cv[..k as usize];
+        cv.sort_unstable();
         let mut mask = 0u64;
-        let mut stack: Vec<(NodeId, u32, u64)> = vec![(a, 0, 0)];
-        while let Some((n, depth, prefix)) = stack.pop() {
-            if n == FALSE {
-                continue;
-            }
-            if depth == k {
-                mask |= 1u64 << prefix;
-                continue;
-            }
-            let v = self.var_of(n); // terminals sit beyond any real level
-            if v > last {
-                // Tests nothing in the remaining cell bits and is not FALSE:
-                // satisfiable in every cell under this prefix.
-                mask |= fill(prefix, depth);
-            } else if v < cv[depth as usize] {
-                // A non-cell variable before the next cell bit: both
-                // branches continue at the same depth.
-                stack.push((self.low_of(n), depth, prefix));
-                stack.push((self.high_of(n), depth, prefix));
-            } else if v == cv[depth as usize] {
-                stack.push((self.low_of(n), depth + 1, prefix << 1));
-                stack.push((self.high_of(n), depth + 1, (prefix << 1) | 1));
-            } else {
-                // Node skips this cell bit: unconstrained on it.
-                stack.push((n, depth + 1, prefix << 1));
-                stack.push((n, depth + 1, (prefix << 1) | 1));
-            }
-        }
+        self.cell_walk(a, cv, 0, 0, &mut mask);
         mask
+    }
+
+    /// Radix probe for index structures that mirror the diagram: fixes the
+    /// first `6 · path.len()` **physical** levels to the cells in `path`
+    /// (cell `i` assigns levels `6i..6i+6`, first level in the most
+    /// significant bit — the cell numbering of [`Bdd::cell_mask`]) and
+    /// returns the occupancy mask of the next `k` levels: bit `c` is set
+    /// iff the restricted predicate is satisfiable with those levels
+    /// equal to `c`.
+    ///
+    /// Every level above the cells is fixed, so the walk is one root-to-
+    /// node descent of at most `6 · path.len()` steps followed by the
+    /// bounded `O(2^k · k)` cell walk, whatever the predicate's size. It
+    /// allocates nothing. The laws of [`Bdd::cell_mask`] hold under any
+    /// fixed path: exact under `∨`, a superset under `∧`.
+    pub fn level_mask(&mut self, a: NodeId, path: &[u8], k: u32) -> u64 {
+        debug_assert!((1..=6).contains(&k), "cell mask width must be 1..=6");
+        self.cell_probes += 1;
+        let base = 6 * path.len() as u32;
+        let mut n = a;
+        loop {
+            let v = self.var_of(n); // terminals sit beyond any real level
+            if v >= base {
+                break;
+            }
+            let bit = (path[(v / 6) as usize] >> (5 - v % 6)) & 1;
+            n = if bit == 1 { self.high_of(n) } else { self.low_of(n) };
+        }
+        let mut cv = [0u32; 6];
+        for i in 0..k {
+            cv[i as usize] = base + i;
+        }
+        let mut mask = 0u64;
+        self.cell_walk(n, &cv[..k as usize], 0, 0, &mut mask);
+        mask
+    }
+
+    /// The shared walk behind the cell probes: ORs into `mask` every cell
+    /// (an assignment of the ascending physical levels `cv`, `depth` of
+    /// them already decided as `prefix`) in which `n` is satisfiable.
+    fn cell_walk(&self, n: NodeId, cv: &[u32], depth: usize, prefix: u64, mask: &mut u64) {
+        if n == FALSE {
+            return;
+        }
+        let k = cv.len();
+        if depth == k {
+            *mask |= 1u64 << prefix;
+            return;
+        }
+        let v = self.var_of(n); // terminals sit beyond any real level
+        if v > cv[k - 1] {
+            // Tests nothing in the remaining cell bits and is not FALSE:
+            // satisfiable in every cell under this prefix.
+            let span = 1u64 << (k - depth);
+            *mask |= if span == 64 { u64::MAX } else { ((1u64 << span) - 1) << (prefix * span) };
+        } else if v < cv[depth] {
+            // A non-cell variable before the next cell bit: both
+            // branches continue at the same depth.
+            self.cell_walk(self.low_of(n), cv, depth, prefix, mask);
+            self.cell_walk(self.high_of(n), cv, depth, prefix, mask);
+        } else if v == cv[depth] {
+            self.cell_walk(self.low_of(n), cv, depth + 1, prefix << 1, mask);
+            self.cell_walk(self.high_of(n), cv, depth + 1, (prefix << 1) | 1, mask);
+        } else {
+            // Node skips this cell bit: unconstrained on it.
+            self.cell_walk(n, cv, depth + 1, prefix << 1, mask);
+            self.cell_walk(n, cv, depth + 1, (prefix << 1) | 1, mask);
+        }
     }
 
     /// The support set of `a`: the sorted list of **logical** variables

@@ -342,16 +342,76 @@ fn node_view_intersects_under_partial_assignment() {
     let raw = eng.export(&p);
     let view = eng.node_view();
     let mut free = vec![None; 16];
-    assert!(view.intersects(raw.node(), &free));
+    assert!(view.intersects(raw.node(), &view.constrain(&free)));
     // Constrain the top nibble to 0001 -> intersects.
     for (i, bit) in [false, false, false, true].into_iter().enumerate() {
         free[i] = Some(bit);
     }
-    assert!(view.intersects(raw.node(), &free));
+    assert!(view.intersects(raw.node(), &view.constrain(&free)));
     // Constrain the top nibble to 0010 -> disjoint.
     free[2] = Some(true);
     free[3] = Some(false);
-    assert!(!view.intersects(raw.node(), &free));
-    assert!(!view.intersects(crate::FALSE, &[None; 16]));
-    assert!(view.intersects(crate::TRUE, &[None; 16]));
+    assert!(!view.intersects(raw.node(), &view.constrain(&free)));
+    assert!(!view.intersects(crate::FALSE, &view.constrain(&[None; 16])));
+    assert!(view.intersects(crate::TRUE, &view.constrain(&[None; 16])));
+}
+
+/// `intersects` against enumeration: prefixes (the single-path walk),
+/// assignments with free bits above fixed ones (the DFS), and nothing
+/// fixed at all, under the identity and an interleaved variable order.
+#[test]
+fn node_view_intersects_matches_enumeration() {
+    const BITS: u32 = 10;
+    let orders = [
+        crate::VarOrder::identity(BITS),
+        crate::VarOrder::interleaved(&[BITS / 2, BITS - BITS / 2]),
+    ];
+    for order in orders {
+        let mut eng = crate::PredEngine::with_var_order(
+            BITS,
+            usize::MAX,
+            crate::CacheConfig::default(),
+            order,
+        );
+        let mut state = 0x1A7E_85EC_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for case in 0..60 {
+            let lo = next(1 << BITS);
+            let a = eng.range(0, BITS, lo, (lo + next(300)).min((1 << BITS) - 1));
+            let b = eng.prefix(0, BITS, next(1 << BITS), 1 + next(BITS as u64) as u32);
+            let v = eng.var(next(BITS as u64) as u32);
+            let p = match case % 4 {
+                0 => a,
+                1 => eng.diff(&a, &b),
+                2 => eng.and(&b, &v),
+                _ => eng.or(&a, &v),
+            };
+            let view = eng.node_view();
+            for shape in 0..6 {
+                let prefix_len = 1 + next(BITS as u64) as u32;
+                let fixed: Vec<Option<bool>> = (0..BITS)
+                    .map(|i| {
+                        let keep = match shape {
+                            0 => false,
+                            1 | 2 => i < prefix_len,
+                            _ => next(2) == 0,
+                        };
+                        keep.then(|| next(2) == 0)
+                    })
+                    .collect();
+                let want = (0..1u64 << BITS).any(|h| {
+                    let bits: Vec<bool> = (0..BITS).map(|i| (h >> (BITS - 1 - i)) & 1 == 1).collect();
+                    bits.iter().zip(&fixed).all(|(b, f)| f.is_none_or(|f| f == *b))
+                        && eng.eval(&p, &bits)
+                });
+                let got = view.intersects(eng.export(&p).node(), &view.constrain(&fixed));
+                assert_eq!(got, want, "case {case} shape {shape} under {fixed:?}");
+            }
+        }
+    }
 }

@@ -1,12 +1,10 @@
-//! MR² ablation: block decomposition with and without the two reduce
-//! operators (the aggregation DESIGN.md calls out), plus the merge-based
-//! decomposition itself.
+//! MR² ablation: block decomposition with and without the netting of
+//! atomic overwrites (the aggregation DESIGN.md calls out), plus the
+//! merge-based decomposition itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flash_bdd::PredEngine;
-use flash_imt::mr2::{
-    calculate_atomic_overwrites, merge_block_and_diff, reduce_by_action, reduce_by_predicate,
-};
+use flash_imt::mr2::{calculate_atomic_overwrites, merge_block_and_diff, Netting};
 use flash_imt::{InverseModel, MatchMemo, PatStore};
 use flash_netmodel::{ActionTable, DeviceId, Fib, HeaderLayout, Match, Rule, RuleUpdate};
 
@@ -91,8 +89,9 @@ fn bench_apply_with_reduce(c: &mut Criterion) {
         b.iter_batched(
             || prepare(&layout),
             |(mut engine, mut pat, mut model, atomics)| {
-                let reduced = reduce_by_action(&mut engine, &atomics);
-                let compact = reduce_by_predicate(&reduced);
+                let mut net = Netting::new();
+                net.add(atomics);
+                let compact = net.finish(&mut engine);
                 model.apply_overwrites(&mut engine, &mut pat, &compact);
                 std::hint::black_box(model.len())
             },

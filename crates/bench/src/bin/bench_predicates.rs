@@ -111,6 +111,7 @@ fn imt_churn(quick: bool, knobs: &Knobs) -> Scenario {
             ("match_memo_misses", stats.match_memo_misses as f64),
             ("classes_probed", stats.classes_probed as f64),
             ("classes_pruned", stats.classes_pruned as f64),
+            ("and_misses", stats.and_misses as f64),
             ("index_rebuilds", stats.index_rebuilds as f64),
             ("shadow_acc_blocks", stats.shadow_acc_blocks as f64),
             ("shadow_trie_blocks", stats.shadow_trie_blocks as f64),
@@ -183,6 +184,7 @@ fn ce2d_long_stream(quick: bool, knobs: &Knobs) -> Scenario {
             ("match_memo_hits", stats.match_memo_hits as f64),
             ("match_memo_misses", stats.match_memo_misses as f64),
             ("classes_pruned", stats.classes_pruned as f64),
+            ("and_misses", stats.and_misses as f64),
             ("shadow_trie_blocks", stats.shadow_trie_blocks as f64),
         ],
     }

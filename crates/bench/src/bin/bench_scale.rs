@@ -18,7 +18,10 @@
 //! the verifier's bulk-load fast path, sealed by one global snapshot
 //! apply + one consistent detection. `--ingest-threads 0` (default) is
 //! the legacy sequential path that flushes and re-verifies per device.
-//! The verify scenario records the parse/ingest vs seal wall split and
+//! The verify scenario records the parse/ingest vs seal wall split, the
+//! model manager's map / reduce / apply share of it
+//! (`ModelManager::timings()`; on the snapshot path all three run inside
+//! the seal, whose remainder — detection — is `seal_other_ms`) and
 //! end-to-end rules/s either way.
 //!
 //! Defaults are the ISSUE acceptance scale: `--k 16 --prefixes 32`
@@ -289,13 +292,24 @@ fn run_verify(
 
     let mgr = verifier.manager();
     let stats = mgr.stats();
+    let timings = mgr.timings();
+    let (map_ms, reduce_ms, apply_ms) = (
+        timings.compute_atomic.as_secs_f64() * 1e3,
+        timings.aggregate.as_secs_f64() * 1e3,
+        timings.apply.as_secs_f64() * 1e3,
+    );
+    let seal_other_ms = (seal_ms - map_ms - reduce_ms - apply_ms).max(0.0);
     println!(
-        "verified {} rules in {:.0}ms ({:.0}ms ingest + {:.0}ms seal, {} threads, \
-         {:.0} rules/s): {} classes, block p50 {:.2}ms p99 {:.2}ms max {:.2}ms",
+        "verified {} rules in {:.0}ms ({:.0}ms ingest + {:.0}ms seal [map {:.0} reduce {:.0} \
+         apply {:.0}], {} threads, {:.0} rules/s): {} classes, block p50 {:.2}ms p99 {:.2}ms \
+         max {:.2}ms",
         total,
         verify_ms,
         ingest_ms,
         seal_ms,
+        map_ms,
+        reduce_ms,
+        apply_ms,
         ingest_threads,
         total as f64 / (verify_ms / 1e3),
         mgr.model().len(),
@@ -316,9 +330,16 @@ fn run_verify(
             ("ingest_threads", ingest_threads as f64),
             ("ingest_ms", ingest_ms),
             ("seal_ms", seal_ms),
+            ("map_ms", map_ms),
+            ("reduce_ms", reduce_ms),
+            ("apply_ms", apply_ms),
+            ("seal_other_ms", seal_other_ms),
             ("classes", mgr.model().len() as f64),
             ("updates_accepted", stats.updates_accepted as f64),
+            ("atomic_overwrites", stats.atomic_overwrites as f64),
             ("compact_overwrites", stats.compact_overwrites as f64),
+            ("classes_probed", stats.classes_probed as f64),
+            ("and_misses", stats.and_misses as f64),
             ("block_p50_ms", per_block_ms.percentile(50.0)),
             ("block_p90_ms", per_block_ms.percentile(90.0)),
             ("block_p99_ms", per_block_ms.percentile(99.0)),

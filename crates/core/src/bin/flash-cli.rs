@@ -483,6 +483,10 @@ fn print_model_stats(verifier: &SubspaceVerifier, quiet: bool, elapsed: std::tim
         mgr.engine().op_count(),
         elapsed
     );
+    println!(
+        "class index: {} candidates probed, {} missed, {} classes skipped, {} rebuilds",
+        stats.classes_probed, stats.and_misses, stats.classes_pruned, stats.index_rebuilds
+    );
     println!("predicates: {}", stats.engine.summary());
     let mt = flash_netmodel::MatchTable::global().stats();
     println!(

@@ -45,7 +45,7 @@ use flash_imt::SubspacePlan;
 use flash_netmodel::{ActionId, ActionTable, HeaderLayout, Topology};
 use std::collections::HashSet;
 use std::io::{BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -55,9 +55,12 @@ pub(crate) const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(1);
 pub(crate) const DEFAULT_EPOCH_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Locates the `flash-shardd` binary: explicit config path, then the
-/// `FLASH_SHARDD` environment variable, then siblings of the current
-/// executable (covering `target/<profile>/` and
-/// `target/<profile>/deps/` layouts).
+/// `FLASH_SHARDD` environment variable, then the directories above the
+/// current executable (covering `target/<profile>/` and
+/// `target/<profile>/deps/` layouts), then the sibling profile
+/// directories of each — `cargo build --release && cargo test` leaves the
+/// binary in `target/release/` and the test executables in
+/// `target/debug/deps/`.
 pub(crate) fn resolve_shardd(explicit: &Option<PathBuf>) -> Result<PathBuf, FlashError> {
     if let Some(p) = explicit {
         if p.is_file() {
@@ -78,18 +81,36 @@ pub(crate) fn resolve_shardd(explicit: &Option<PathBuf>) -> Result<PathBuf, Flas
             p.display()
         )));
     }
-    if let Ok(exe) = std::env::current_exe() {
-        for dir in exe.ancestors().skip(1).take(3) {
-            let cand = dir.join("flash-shardd");
-            if cand.is_file() {
-                return Ok(cand);
-            }
-        }
-    }
-    Err(FlashError::Config(
-        "flash-shardd binary not found; set RecoveryOptions::shardd_path or FLASH_SHARDD".into(),
-    ))
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| shardd_near(&exe))
+        .ok_or_else(|| {
+            FlashError::Config(
+                "flash-shardd binary not found; set RecoveryOptions::shardd_path or FLASH_SHARDD"
+                    .into(),
+            )
+        })
 }
+
+/// `flash-shardd` in one of the three directories above `exe`, else in a
+/// subdirectory of one of them (nearest first, names ascending).
+fn shardd_near(exe: &Path) -> Option<PathBuf> {
+    let above: Vec<&Path> = exe.ancestors().skip(1).take(3).collect();
+    let own = above.iter().map(|dir| dir.join(SHARDD_BIN)).find(|p| p.is_file());
+    own.or_else(|| {
+        above.iter().find_map(|dir| {
+            let mut siblings: Vec<PathBuf> = std::fs::read_dir(dir)
+                .ok()?
+                .filter_map(|e| Some(e.ok()?.path().join(SHARDD_BIN)))
+                .filter(|p| p.is_file())
+                .collect();
+            siblings.sort();
+            siblings.into_iter().next()
+        })
+    })
+}
+
+const SHARDD_BIN: &str = "flash-shardd";
 
 /// What the reader thread hands the parent: a frame, or the transport
 /// error that ended the stream. Channel disconnection = child EOF.
@@ -622,6 +643,24 @@ mod tests {
             resolve_shardd(&missing),
             Err(FlashError::Config(_))
         ));
+    }
+
+    #[test]
+    fn shardd_is_found_in_a_sibling_profile_but_the_own_profile_wins() {
+        let root = std::env::temp_dir().join(format!("flash-shardd-near-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let deps = root.join("target/debug/deps");
+        std::fs::create_dir_all(&deps).unwrap();
+        std::fs::create_dir_all(root.join("target/release")).unwrap();
+        let exe = deps.join("recovery-0123456789abcdef");
+        assert_eq!(shardd_near(&exe), None, "nothing built yet");
+        let release = root.join("target/release").join(SHARDD_BIN);
+        std::fs::write(&release, b"").unwrap();
+        assert_eq!(shardd_near(&exe), Some(release), "tier-1 layout: release bin, debug tests");
+        let debug = root.join("target/debug").join(SHARDD_BIN);
+        std::fs::write(&debug, b"").unwrap();
+        assert_eq!(shardd_near(&exe), Some(debug), "the test's own profile comes first");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

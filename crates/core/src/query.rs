@@ -477,6 +477,9 @@ pub struct TenantStats {
     pub in_flight: usize,
 }
 
+/// How long [`PendingAnswer::wait`] polls for its answer before parking.
+const ANSWER_SPIN: std::time::Duration = std::time::Duration::from_micros(20);
+
 /// An answer on its way back from the reader pool.
 pub struct PendingAnswer {
     rx: mpsc::Receiver<QueryAnswer>,
@@ -485,6 +488,23 @@ pub struct PendingAnswer {
 impl PendingAnswer {
     /// Blocks until the reader pool answers.
     pub fn wait(self) -> Result<QueryAnswer, QueryRejected> {
+        // Spin for about as long as parking would cost before parking.
+        // With queries in flight the next answer is one service time (a
+        // few µs) away, while a parked waiter makes the reader pay a
+        // futex wake for every reply — on `query_mix` that wake, across
+        // vCPUs, cost the reader more than answering the query did.
+        let spin_until = std::time::Instant::now() + ANSWER_SPIN;
+        loop {
+            match self.rx.try_recv() {
+                Ok(answer) => return Ok(answer),
+                Err(mpsc::TryRecvError::Disconnected) => return Err(QueryRejected::Closed),
+                Err(mpsc::TryRecvError::Empty) => {}
+            }
+            if std::time::Instant::now() >= spin_until {
+                break;
+            }
+            std::hint::spin_loop();
+        }
         self.rx.recv().map_err(|_| QueryRejected::Closed)
     }
 }

@@ -559,6 +559,7 @@ impl Wire for UpdateStats {
         self.match_memo_misses.put(w);
         self.classes_probed.put(w);
         self.classes_pruned.put(w);
+        self.and_misses.put(w);
         self.index_rebuilds.put(w);
         self.shadow_acc_blocks.put(w);
         self.shadow_trie_blocks.put(w);
@@ -575,6 +576,7 @@ impl Wire for UpdateStats {
             match_memo_misses: u64::get(r)?,
             classes_probed: u64::get(r)?,
             classes_pruned: u64::get(r)?,
+            and_misses: u64::get(r)?,
             index_rebuilds: u64::get(r)?,
             shadow_acc_blocks: u64::get(r)?,
             shadow_trie_blocks: u64::get(r)?,

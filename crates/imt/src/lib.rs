@@ -10,20 +10,22 @@
 //!   that overwriting a handful of devices in an `N`-device vector costs
 //!   `O(k · log N)` and vector equality is an integer comparison.
 //! * [`model`] — the [`model::InverseModel`] with its validity invariants
-//!   and the model-overwrite operator `⊗` (Definition 9), plus the cell
-//!   overlap index that localizes which classes an overwrite can touch.
+//!   and the model-overwrite operator `⊗` (Definition 9), plus the class
+//!   index (a radix tree over the diagram's levels) that names the
+//!   classes an overwrite can touch in time proportional to their number.
 //! * [`memo`] — the capacity-capped `Match → Pred` cache that encodes
 //!   each FIB match once per lifetime instead of once per block.
 //! * [`mr2`] — the **MR² algorithm**: Algorithm 1 (merge-based
 //!   decomposition of a native update block into atomic conflict-free
-//!   overwrites), Reduce I (aggregation by action), Reduce II (aggregation
-//!   by predicate), and the phase-instrumented driver used by Figure 11.
+//!   overwrites) and the netting that fuses both reduces (by predicate,
+//!   then by write set), as driven and timed by the manager for Figure 11.
 //! * [`manager`] — the model manager of Figure 1: per-device FIB
 //!   snapshots, the block-size-threshold (BST) buffer, subspace filtering,
 //!   and the per-update compatibility mode.
 //! * [`subspace`] — input-space partitioning (§3.4) used to run many
 //!   verifiers in parallel.
 
+mod index;
 pub mod manager;
 pub mod memo;
 pub mod model;
@@ -37,7 +39,7 @@ pub use manager::{
 };
 pub use memo::MatchMemo;
 pub use model::{IndexStats, InverseModel, ModelEntry};
-pub use mr2::{AtomicOverwrite, Overwrite};
+pub use mr2::{AtomicOverwrite, Netting, Overwrite};
 pub use pat::{PatId, PatStore, PAT_NIL};
 pub use snapshot::{EpochSnapshot, SnapshotClass};
 pub use subspace::{SubspacePlan, SubspaceSpec};

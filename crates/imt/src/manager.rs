@@ -16,8 +16,7 @@ use crate::memo::{MatchMemo, DEFAULT_MATCH_MEMO_CAPACITY};
 use crate::model::InverseModel;
 use crate::mr2::{
     build_rule_trie, calculate_atomic_overwrites, calculate_atomic_overwrites_trie,
-    cancel_updates, merge_block_and_diff, reduce_by_action, reduce_by_predicate,
-    AtomicOverwrite,
+    cancel_updates, merge_block_and_diff, Netting,
 };
 use crate::pat::{PatId, PatStore};
 use crate::snapshot::{EpochSnapshot, SnapshotClass, SnapshotPin};
@@ -56,8 +55,8 @@ pub struct ImtTuning {
     pub match_memo_capacity: usize,
     /// Shadow-computation policy for the map phase.
     pub shadow_strategy: ShadowStrategy,
-    /// Maintain the inverse model's cell overlap index so overwrites probe
-    /// only candidate classes instead of scanning all of them.
+    /// Maintain the inverse model's class index so overwrites probe only
+    /// candidate classes instead of scanning all of them.
     pub class_index: bool,
 }
 
@@ -115,7 +114,7 @@ impl ModelManagerConfig {
 pub struct PhaseTimings {
     /// Map: merging blocks and computing atomic overwrites.
     pub compute_atomic: Duration,
-    /// Reduce I + Reduce II.
+    /// Netting the atomic overwrites (both reduces).
     pub aggregate: Duration,
     /// Applying the compact overwrites to the inverse model.
     pub apply: Duration,
@@ -146,8 +145,10 @@ pub struct UpdateStats {
     pub match_memo_misses: u64,
     /// Candidate classes probed by indexed overwrite application.
     pub classes_probed: u64,
-    /// Classes skipped by the overlap index without touching the BDD.
+    /// Classes skipped by the class index without touching the BDD.
     pub classes_pruned: u64,
+    /// Probed candidates whose `and` came back empty.
+    pub and_misses: u64,
     /// Full overlap-index rebuilds (including the initial lazy build).
     pub index_rebuilds: u64,
     /// Device blocks mapped with the accumulated-disjunction shadows.
@@ -173,6 +174,7 @@ impl UpdateStats {
         self.match_memo_misses += other.match_memo_misses;
         self.classes_probed += other.classes_probed;
         self.classes_pruned += other.classes_pruned;
+        self.and_misses += other.and_misses;
         self.index_rebuilds += other.index_rebuilds;
         self.shadow_acc_blocks += other.shadow_acc_blocks;
         self.shadow_trie_blocks += other.shadow_trie_blocks;
@@ -350,6 +352,11 @@ impl ModelManager {
             preds.push(e.pred.clone());
         }
         drop(vec_memo);
+        // Arena order: a reader that probes every class of the snapshot
+        // then sweeps the node store front to back instead of hopping
+        // through it in whatever order the entry vector was last
+        // shuffled into.
+        classes.sort_unstable_by_key(|c| c.root);
         let alive = Arc::new(());
         self.snapshot_pins.push(SnapshotPin {
             seq,
@@ -403,6 +410,7 @@ impl ModelManager {
         let ix = self.model.index_stats();
         s.classes_probed = ix.probed;
         s.classes_pruned = ix.pruned;
+        s.and_misses = ix.and_misses;
         s.index_rebuilds = ix.rebuilds;
         s
     }
@@ -503,12 +511,10 @@ impl ModelManager {
     /// each device's FIB is constructed in one sorted pass
     /// ([`Fib::from_sorted`]) and its whole rule set is the MR² diff, so
     /// the per-update merge/cancel/trie bookkeeping of [`Self::flush`] —
-    /// pure overhead when every rule is new — is skipped. Reduce I runs
-    /// per device (it groups by `(device, action)`, so per-device calls
-    /// are equivalent to one global call and keep transient atomic
-    /// predicates bounded); Reduce II and the model apply run once over
-    /// the whole snapshot, which is where the cross-device compaction
-    /// the incremental path never sees comes from.
+    /// pure overhead when every rule is new — is skipped. Each device's
+    /// atomic overwrites are filed under their predicates as soon as they
+    /// are mapped (only the distinct predicates stay rooted); the netting
+    /// closes and the model apply runs once over the whole snapshot.
     ///
     /// Falls back to [`Self::flush`] — identical semantics, incremental
     /// cost — unless every buffered update is an insert targeting a
@@ -539,7 +545,7 @@ impl ModelManager {
 
         let clip = self.clip.clone();
         let layout = self.config.layout.clone();
-        let mut reduced: Vec<AtomicOverwrite> = Vec::new();
+        let mut net = Netting::new();
         for &dev in &order {
             let t0 = Instant::now();
             let mut rules = per_device.remove(&dev).expect("device in order");
@@ -575,12 +581,12 @@ impl ModelManager {
             self.tries.remove(&dev);
             self.timings.compute_atomic += t0.elapsed();
             let t1 = Instant::now();
-            reduced.extend(reduce_by_action(&mut self.engine, &atomics));
+            net.add(atomics);
             self.timings.aggregate += t1.elapsed();
         }
 
         let t1 = Instant::now();
-        let compact = reduce_by_predicate(&reduced);
+        let compact = net.finish(&mut self.engine);
         self.timings.aggregate += t1.elapsed();
         self.stats.compact_overwrites += compact.len() as u64;
 
@@ -616,7 +622,7 @@ impl ModelManager {
         let clip = self.clip.clone();
         let strategy = self.config.tuning.shadow_strategy;
         let maintain_trie = strategy != ShadowStrategy::Accumulated;
-        let mut atomics: Vec<AtomicOverwrite> = Vec::new();
+        let mut atomics = Vec::new();
         for &dev in &order {
             let block = cancel_updates(&per_device[&dev]);
             if block.is_empty() {
@@ -701,10 +707,11 @@ impl ModelManager {
         self.timings.compute_atomic += t0.elapsed();
         self.stats.atomic_overwrites += atomics.len() as u64;
 
-        // ---- Reduce I + II.
+        // ---- Reduce: net by predicate, then by write set.
         let t1 = Instant::now();
-        let reduced = reduce_by_action(&mut self.engine, &atomics);
-        let compact = reduce_by_predicate(&reduced);
+        let mut net = Netting::new();
+        net.add(atomics);
+        let compact = net.finish(&mut self.engine);
         self.timings.aggregate += t1.elapsed();
         self.stats.compact_overwrites += compact.len() as u64;
 
@@ -1153,5 +1160,165 @@ mod tests {
         assert!(s.engine.ops > 0);
         assert!(s.engine.live_nodes > 2);
         assert!(s.engine.roots_live > 0);
+    }
+    /// The independent oracle: whatever the netting and the class index
+    /// did, every header's action vector in the model must be what each
+    /// device's rule list says by plain longest-priority lookup — no
+    /// predicate involved. Runs the manager (netting by predicate, indexed
+    /// apply) beside a replay through the paper's Reduce I → Reduce II and
+    /// the linear-scan apply, over a bulk load and multi-device blocks of
+    /// inserts, deletes and modifications, across forced collections.
+    #[test]
+    fn every_header_matches_fib_lookup_under_both_nettings() {
+        use crate::mr2::{reduce_by_action, reduce_by_predicate};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::hash::{Hash, Hasher};
+
+        const BITS: u32 = 10;
+        const DEVS: u32 = 6;
+        let layout = HeaderLayout::new(&[("dst", BITS)]);
+        let mut rng = StdRng::seed_from_u64(0x0AC1_E5ED);
+
+        // Matches come from a small nested pool so that devices share
+        // predicates (what the netting keys on) and shadow each other.
+        let pool: Vec<(u64, u32)> = (0..28)
+            .map(|_| {
+                let len = rng.gen_range(1..=BITS);
+                ((rng.gen_range(0u64..1 << BITS) >> (BITS - len)) << (BITS - len), len)
+            })
+            .collect();
+        // The oracle's FIBs: (value, len, priority, action), priorities
+        // unique per device so that lookup needs no tie-break.
+        let mut plain: Vec<Vec<(u64, u32, i64, ActionId)>> = vec![Vec::new(); DEVS as usize];
+        let mut serial = 0i64;
+        let mut fresh_rule = |rng: &mut StdRng| {
+            let (value, len) = pool[rng.gen_range(0..pool.len())];
+            serial += 1;
+            (value, len, len as i64 * 10_000 + serial, ActionId(rng.gen_range(1u32..5)))
+        };
+        let rule = |&(value, len, prio, action): &(u64, u32, i64, ActionId)| {
+            Rule::new(Match::dst_prefix(&layout, value, len), prio, action)
+        };
+
+        let mut mgr = ModelManager::new(ModelManagerConfig::whole_space(layout.clone()));
+        // The reference: its own engine, the paper's reduces, no index.
+        let mut ref_engine = PredEngine::new(BITS);
+        let mut ref_pat = PatStore::new();
+        let mut ref_model = InverseModel::new(ref_engine.true_pred());
+        ref_model.set_index_enabled(false);
+        let mut ref_fibs: HashMap<DeviceId, Fib> = HashMap::new();
+
+        for round in 0..14 {
+            // Round 0 is the snapshot; later rounds touch several devices.
+            let mut block: Vec<(DeviceId, RuleUpdate)> = Vec::new();
+            for d in 0..DEVS {
+                let table = &mut plain[d as usize];
+                let ops = if round == 0 { 20 } else { rng.gen_range(0..6) };
+                for _ in 0..ops {
+                    // The snapshot is inserts only, or `bulk_load` falls back.
+                    match if round == 0 { 3 } else { rng.gen_range(0..4) } {
+                        0 if !table.is_empty() => {
+                            let old = table.swap_remove(rng.gen_range(0..table.len()));
+                            block.push((DeviceId(d), RuleUpdate::delete(rule(&old))));
+                        }
+                        1 if !table.is_empty() => {
+                            // Modification: same match and priority, next action.
+                            let i = rng.gen_range(0..table.len());
+                            let old = table[i];
+                            table[i].3 = ActionId(old.3 .0 % 4 + 1);
+                            block.push((DeviceId(d), RuleUpdate::delete(rule(&old))));
+                            block.push((DeviceId(d), RuleUpdate::insert(rule(&table[i]))));
+                        }
+                        _ => {
+                            let new = fresh_rule(&mut rng);
+                            table.push(new);
+                            block.push((DeviceId(d), RuleUpdate::insert(rule(&new))));
+                        }
+                    }
+                }
+            }
+
+            for (d, u) in &block {
+                mgr.submit_bulk(*d, [*u]);
+            }
+            if round == 0 {
+                mgr.bulk_load();
+                assert_eq!(mgr.stats().shadow_acc_blocks, DEVS as u64, "snapshot path taken");
+            } else {
+                mgr.flush();
+            }
+
+            let mut atomics = Vec::new();
+            for d in 0..DEVS {
+                let updates: Vec<RuleUpdate> =
+                    block.iter().filter(|(dev, _)| dev.0 == d).map(|(_, u)| *u).collect();
+                let fib = ref_fibs.entry(DeviceId(d)).or_insert_with(|| Fib::new(&layout));
+                let res = merge_block_and_diff(fib, &cancel_updates(&updates));
+                let clip = ref_engine.true_pred();
+                atomics.extend(calculate_atomic_overwrites(
+                    &mut ref_engine,
+                    &layout,
+                    DeviceId(d),
+                    fib,
+                    &res.diff,
+                    &clip,
+                    &mut MatchMemo::disabled(),
+                ));
+            }
+            let reduced = reduce_by_action(&mut ref_engine, &atomics);
+            for ow in reduce_by_predicate(&reduced) {
+                ref_model.apply_overwrite_linear(&mut ref_engine, &mut ref_pat, &ow);
+            }
+            drop((atomics, reduced));
+
+            if round % 3 == 2 {
+                mgr.gc();
+                ref_engine.collect();
+            }
+
+            for h in 0..1u64 << BITS {
+                let bits: Vec<bool> = (0..BITS).map(|i| (h >> (BITS - 1 - i)) & 1 == 1).collect();
+                let got = mgr.model().classify(mgr.engine(), &bits).expect("complementary");
+                let want = ref_model.classify(&ref_engine, &bits).expect("complementary");
+                for d in 0..DEVS {
+                    let lookup = plain[d as usize]
+                        .iter()
+                        .filter(|(value, len, ..)| (h ^ value) >> (BITS - len) == 0)
+                        .max_by_key(|(_, _, prio, _)| *prio)
+                        .map_or(flash_netmodel::ACTION_DROP, |r| r.3);
+                    assert_eq!(
+                        mgr.pat().get(got.vector, DeviceId(d)),
+                        lookup,
+                        "round {round} header {h:#x} device {d}: netted model"
+                    );
+                    assert_eq!(
+                        ref_pat.get(want.vector, DeviceId(d)),
+                        lookup,
+                        "round {round} header {h:#x} device {d}: reference model"
+                    );
+                }
+            }
+            let mut ref_keys: Vec<u64> = ref_model
+                .entries()
+                .iter()
+                .map(|e| {
+                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                    ref_pat.entries(e.vector).hash(&mut hasher);
+                    hasher.finish()
+                })
+                .collect();
+            let mut keys = mgr.class_keys();
+            keys.sort_unstable();
+            ref_keys.sort_unstable();
+            assert_eq!(keys, ref_keys, "round {round}: class fingerprints");
+            let (engine, _, model) = mgr.parts_mut();
+            model.check_invariants(engine).unwrap();
+        }
+        let stats = mgr.stats();
+        assert!(
+            stats.compact_overwrites < stats.atomic_overwrites,
+            "the workload never netted anything"
+        );
+        assert!(stats.classes_probed > 0, "the class index was never used");
     }
 }

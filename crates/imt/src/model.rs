@@ -11,6 +11,7 @@
 //! roots or remap ids — the engine's automatic mark-sweep GC keeps every
 //! entry alive for exactly as long as the model holds it.
 
+use crate::index::ClassIndex;
 use crate::mr2::Overwrite;
 use crate::pat::{PatId, PatStore, PAT_NIL};
 use flash_bdd::{Pred, PredEngine};
@@ -24,47 +25,15 @@ pub struct ModelEntry {
     pub vector: PatId,
 }
 
-/// Coarse class overlap index: the first `k` header bits partition the
-/// space into `2^k` cells; each class carries the bitmask of cells its
-/// predicate is satisfiable in (from [`PredEngine::cell_mask`]), and
-/// `cells[c]` lists every class whose mask has bit `c` set. An overwrite
-/// then only probes classes that share at least one cell with it —
-/// almost-all-disjoint class sets (the common case under prefix
-/// workloads) skip almost every provably-false `and`.
-///
-/// Masks are maintained exactly on class add/remove/merge; when a class
-/// *shrinks* (split) the old mask is kept as a conservative superset and
-/// `slack` grows. Conservative masks only cost extra probes, never
-/// correctness, and once slack exceeds the class count the whole index is
-/// rebuilt from fresh probes (the "lazily rebuilt after churn" rule).
-#[derive(Clone, Debug)]
-struct OverlapIndex {
-    offset: u32,
-    k: u32,
-    /// Parallel to `entries`: the (possibly conservative) cell mask.
-    masks: Vec<u64>,
-    /// Cell → indices of classes occupying it. Each class appears at most
-    /// once per cell.
-    cells: Vec<Vec<u32>>,
-    /// Shrinks absorbed since the last rebuild (staleness pressure).
-    slack: usize,
-}
-
-impl OverlapIndex {
-    fn remove_from_cell(cell: &mut Vec<u32>, idx: u32) {
-        if let Some(p) = cell.iter().position(|&x| x == idx) {
-            cell.swap_remove(p);
-        }
-    }
-}
-
-/// Counters describing how much scanning the overlap index avoided.
+/// Counters describing how much scanning the class index avoided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Candidate classes actually probed by indexed overwrite application.
+    /// Candidate classes `and`-tested by indexed overwrite application.
     pub probed: u64,
-    /// Classes skipped outright (no shared cell with the overwrite).
+    /// Classes the index kept out of the candidate set.
     pub pruned: u64,
+    /// Candidates whose `and` came back empty: the index's wasted work.
+    pub and_misses: u64,
     /// Full index rebuilds (including the initial lazy build).
     pub rebuilds: u64,
 }
@@ -78,9 +47,9 @@ pub struct InverseModel {
     entries: Vec<ModelEntry>,
     /// vector → index into `entries`, maintaining the uniqueness invariant.
     by_vector: HashMap<PatId, usize>,
-    /// The cell-level overlap index; `None` until the first indexed
-    /// overwrite builds it (or always when disabled).
-    index: Option<OverlapIndex>,
+    /// The class index (see [`crate::index`]); `None` until the first
+    /// indexed overwrite builds it (or always when disabled).
+    index: Option<ClassIndex>,
     index_enabled: bool,
     index_stats: IndexStats,
     /// Bumped whenever the **class composition** changes (an entry added
@@ -113,7 +82,7 @@ impl InverseModel {
         self.version
     }
 
-    /// Enables or disables the class overlap index. Disabling drops the
+    /// Enables or disables the class index. Disabling drops the
     /// index and makes every overwrite a full linear scan (the reference
     /// behaviour); re-enabling pays one lazy rebuild on the next
     /// overwrite.
@@ -129,7 +98,7 @@ impl InverseModel {
         self.index_stats
     }
 
-    /// Whether the overlap index is currently materialized.
+    /// Whether the class index is currently materialized.
     pub fn has_index(&self) -> bool {
         self.index.is_some()
     }
@@ -153,24 +122,14 @@ impl InverseModel {
 
     /// The entry whose predicate contains the concrete header `bits`.
     ///
-    /// With a materialized overlap index only the classes sharing the
-    /// header's cell are `eval`-scanned (complementarity guarantees the
-    /// owning class is among them, because every mask is a superset of
-    /// the true cell set); otherwise this is a full linear scan.
+    /// With a materialized class index only the classes listed on the
+    /// header's path are `eval`-scanned (the index's superset law puts the
+    /// owning class among them); otherwise this is a full linear scan.
     pub fn classify(&self, engine: &PredEngine, bits: &[bool]) -> Option<ModelEntry> {
-        if let Some(ix) = &self.index {
-            let mut cell = 0usize;
-            for d in 0..ix.k {
-                let b = *bits.get((ix.offset + d) as usize)?;
-                cell = (cell << 1) | b as usize;
-            }
-            return ix.cells[cell]
-                .iter()
-                .map(|&j| &self.entries[j as usize])
-                .find(|e| engine.eval(&e.pred, bits))
-                .cloned();
+        match &self.index {
+            Some(ix) => ix.classify(engine, &self.entries, bits).map(|i| self.entries[i].clone()),
+            None => self.classify_linear(engine, bits),
         }
-        self.classify_linear(engine, bits)
     }
 
     /// The index-free reference scan behind [`InverseModel::classify`].
@@ -277,77 +236,42 @@ impl InverseModel {
         touched
     }
 
-    /// Index-assisted overwrite application: one cheap cell probe on the
-    /// overwrite predicate, then only the classes sharing a cell are
-    /// `and`-tested. Candidates are visited in **descending** index order
-    /// so `swap_remove` (which only moves the last entry down into the
-    /// removed slot) can never invalidate a not-yet-visited candidate:
-    /// any entry above the current one was either already visited or was
-    /// not a candidate at all.
+    /// Index-assisted overwrite application: the index names the classes
+    /// the overwrite can intersect (by stable id, so removals during the
+    /// loop disturb nothing) and only those are `and`-tested. Classes are
+    /// pairwise disjoint, so each is tested against the whole overwrite.
     fn apply_overwrite_indexed(
         &mut self,
         engine: &mut PredEngine,
         pat: &mut PatStore,
         ow: &Overwrite,
     ) -> usize {
-        let (offset, k) = {
-            let ix = self.index.as_ref().expect("indexed path requires index");
-            (ix.offset, ix.k)
-        };
-        let ow_mask = engine.cell_mask(&ow.pred, offset, k);
-        let mut cand: Vec<u32> = Vec::new();
-        {
-            let ix = self.index.as_ref().expect("indexed path requires index");
-            let mut bits = ow_mask;
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                cand.extend_from_slice(&ix.cells[c]);
-            }
-        }
-        cand.sort_unstable_by(|a, b| b.cmp(a));
-        cand.dedup();
+        let cand = self
+            .index
+            .as_mut()
+            .expect("indexed path requires index")
+            .candidates(engine, &ow.pred);
         self.index_stats.probed += cand.len() as u64;
         self.index_stats.pruned += (self.entries.len() - cand.len()) as u64;
 
         let mut touched = 0usize;
         let mut moved: Vec<(PatId, Pred)> = Vec::new();
-        let mut remaining = ow.pred.clone();
-        // Cells the still-unmatched remainder can occupy. Re-probed (one
-        // cheap cell walk, never past the cell bits) each time a class
-        // consumes part of the overwrite; candidates whose mask misses
-        // the shrunk remainder are pruned without an `and`.
-        let mut remaining_mask = ow_mask;
-        let n_cand = cand.len();
-        for (pos, idx) in cand.into_iter().enumerate() {
-            if remaining.is_false() {
-                break;
-            }
-            let i = idx as usize;
-            let class_mask = match &self.index {
-                Some(ix) => ix.masks[i],
-                None => u64::MAX,
-            };
-            if class_mask & remaining_mask == 0 {
-                self.index_stats.pruned += 1;
-                continue;
-            }
+        for id in cand {
+            let i = self
+                .index
+                .as_ref()
+                .and_then(|ix| ix.slot(id))
+                .expect("candidates are live classes");
             let (e_pred, e_vector) = {
                 let e = &self.entries[i];
                 (e.pred.clone(), e.vector)
             };
-            let inter = engine.and(&e_pred, &remaining);
+            let inter = engine.and(&e_pred, &ow.pred);
             if inter.is_false() {
+                self.index_stats.and_misses += 1;
                 continue;
             }
             touched += 1;
-            remaining = engine.diff(&remaining, &inter);
-            // Re-probe only while later candidates could still be pruned
-            // by the shrunk mask (typical overwrites touch one class, and
-            // it is usually the last candidate — no probe at all then).
-            if pos + 1 < n_cand {
-                remaining_mask = engine.cell_mask(&remaining, offset, k);
-            }
             let new_vec = pat.overwrite(e_vector, &ow.writes);
             if new_vec == e_vector {
                 continue;
@@ -358,63 +282,45 @@ impl InverseModel {
                 self.remove_at(i);
             } else {
                 self.entries[i].pred = rest;
-                // The old mask stays as a conservative superset of the
-                // shrunk predicate's cells; record the staleness.
                 if let Some(ix) = &mut self.index {
-                    ix.slack += 1;
+                    ix.note_shrink();
                 }
             }
         }
         for (vec, pred) in moved {
             self.add_pred(engine, vec, pred);
         }
-        self.maybe_rebuild_index(engine);
+        if self.index.as_ref().is_some_and(ClassIndex::is_stale) {
+            self.rebuild_index(engine);
+        }
         touched
     }
 
-    /// Rebuilds the overlap index from fresh cell probes of every class.
+    /// The index's candidate set for `pred`: positions in
+    /// [`Self::entries`] of a superset of the classes `pred` intersects,
+    /// ascending. Builds the index if need be; `None` when it is disabled.
+    /// Diagnostic surface for the index's soundness tests.
+    pub fn index_candidates(&mut self, engine: &mut PredEngine, pred: &Pred) -> Option<Vec<usize>> {
+        if self.index.is_none() {
+            self.rebuild_index(engine);
+        }
+        let ix = self.index.as_mut()?;
+        let mut slots: Vec<usize> = ix
+            .candidates(engine, pred)
+            .into_iter()
+            .map(|id| ix.slot(id).expect("candidates are live classes"))
+            .collect();
+        slots.sort_unstable();
+        Some(slots)
+    }
+
+    /// Rebuilds the class index from fresh probes of every class.
     pub fn rebuild_index(&mut self, engine: &mut PredEngine) {
         if !self.index_enabled {
             return;
         }
-        let k = engine.num_vars().min(6);
-        if k == 0 {
-            self.index = None;
-            return;
-        }
-        let offset = 0;
-        let mut ix = OverlapIndex {
-            offset,
-            k,
-            masks: Vec::with_capacity(self.entries.len()),
-            cells: vec![Vec::new(); 1usize << k],
-            slack: 0,
-        };
-        for (j, e) in self.entries.iter().enumerate() {
-            let m = engine.cell_mask(&e.pred, offset, k);
-            let mut bits = m;
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                ix.cells[c].push(j as u32);
-            }
-            ix.masks.push(m);
-        }
+        self.index = ClassIndex::build(engine, &self.entries);
         self.index_stats.rebuilds += 1;
-        self.index = Some(ix);
-    }
-
-    /// Rebuild once accumulated shrink-staleness outweighs the class
-    /// count — conservative masks then prune too little to be worth
-    /// keeping.
-    fn maybe_rebuild_index(&mut self, engine: &mut PredEngine) {
-        let stale = match &self.index {
-            Some(ix) => ix.slack > self.entries.len().max(64),
-            None => false,
-        };
-        if stale {
-            self.rebuild_index(engine);
-        }
     }
 
     /// Applies a batch of overwrites in order (they compose by Lemma 1).
@@ -436,70 +342,30 @@ impl InverseModel {
             self.by_vector.insert(moved_vec, i);
         }
         if let Some(ix) = &mut self.index {
-            // Unhook the removed class from its cells, then repoint the
-            // entry that swap_remove relocated from the end to slot `i`.
-            let dead = ix.masks[i];
-            let mut bits = dead;
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                OverlapIndex::remove_from_cell(&mut ix.cells[c], i as u32);
-            }
-            ix.masks.swap_remove(i);
-            if i < ix.masks.len() {
-                let old = ix.masks.len() as u32;
-                let mut bits = ix.masks[i];
-                while bits != 0 {
-                    let c = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    for x in ix.cells[c].iter_mut() {
-                        if *x == old {
-                            *x = i as u32;
-                        }
-                    }
-                }
-            }
+            ix.swap_remove(i);
         }
     }
 
-    /// Adds `pred` to the class with vector `vec`, creating it if needed.
-    /// Index maintenance here is exact: `cell_mask(a ∨ b) = cell_mask(a)
-    /// | cell_mask(b)`, so merging ORs the masks.
+    /// Adds `pred` to the class with vector `vec`, creating it if needed,
+    /// and lists the class in the index wherever `pred` reaches.
     fn add_pred(&mut self, engine: &mut PredEngine, vec: PatId, pred: Pred) {
         if pred.is_false() {
             return;
         }
-        let mask = match &self.index {
-            Some(ix) => engine.cell_mask(&pred, ix.offset, ix.k),
-            None => 0,
-        };
         match self.by_vector.get(&vec) {
             Some(&i) => {
                 let merged = engine.or(&self.entries[i].pred, &pred);
                 self.entries[i].pred = merged;
                 if let Some(ix) = &mut self.index {
-                    let mut fresh = mask & !ix.masks[i];
-                    while fresh != 0 {
-                        let c = fresh.trailing_zeros() as usize;
-                        fresh &= fresh - 1;
-                        ix.cells[c].push(i as u32);
-                    }
-                    ix.masks[i] |= mask;
+                    ix.insert(engine, &self.entries, i, &pred);
                 }
             }
             None => {
                 self.version += 1;
-                let j = self.entries.len();
-                self.by_vector.insert(vec, j);
+                self.by_vector.insert(vec, self.entries.len());
                 self.entries.push(ModelEntry { pred, vector: vec });
                 if let Some(ix) = &mut self.index {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let c = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        ix.cells[c].push(j as u32);
-                    }
-                    ix.masks.push(mask);
+                    ix.push_class(engine, &self.entries);
                 }
             }
         }
@@ -531,44 +397,9 @@ impl InverseModel {
         if union != self.universe {
             return Err("classes do not cover the universe".into());
         }
-        // overlap-index consistency: every stored mask is a superset of the
-        // true cell mask, and the cell lists mirror the masks exactly.
+        // class-index consistency: id tables and the superset law.
         if let Some(ix) = &self.index {
-            if ix.masks.len() != self.entries.len() {
-                return Err("index mask count diverges from class count".into());
-            }
-            let true_masks: Vec<u64> = self
-                .entries
-                .iter()
-                .map(|e| engine.cell_mask(&e.pred, ix.offset, ix.k))
-                .collect();
-            for (j, &tm) in true_masks.iter().enumerate() {
-                if tm & !ix.masks[j] != 0 {
-                    return Err(format!("index mask of class {j} is not a superset"));
-                }
-                let mut bits = ix.masks[j];
-                while bits != 0 {
-                    let c = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if !ix.cells[c].contains(&(j as u32)) {
-                        return Err(format!("class {j} missing from cell {c}"));
-                    }
-                }
-            }
-            for (c, cell) in ix.cells.iter().enumerate() {
-                let mut seen_in_cell = std::collections::HashSet::new();
-                for &j in cell {
-                    if j as usize >= self.entries.len() {
-                        return Err(format!("cell {c} references dead class {j}"));
-                    }
-                    if ix.masks[j as usize] & (1u64 << c) == 0 {
-                        return Err(format!("cell {c} lists class {j} whose mask lacks it"));
-                    }
-                    if !seen_in_cell.insert(j) {
-                        return Err(format!("cell {c} lists class {j} twice"));
-                    }
-                }
-            }
+            ix.check(engine, &self.entries)?;
         }
         Ok(())
     }

@@ -12,21 +12,25 @@
 //!    the (now updated, sorted) FIB computes each expanding rule's
 //!    effective predicate `eff = m ∧ ¬⋁(higher-priority matches)` with an
 //!    accumulated disjunction, yielding the atomic overwrites `ΔM_i`.
-//! 4. **Reduce I** (`reduce_by_action`) — atomic overwrites with the same
-//!    `(device, action)` write merge by disjoining their predicates.
-//! 5. **Reduce II** (`reduce_by_predicate`) — overwrites with the same
-//!    predicate merge by combining their write sets (conflict-free by
-//!    Theorem 5).
+//! 4. **Net** ([`Netting`]) — both reduces of the paper in the order that
+//!    keeps their output proportional to the classes it creates: atomic
+//!    overwrites are first grouped **by predicate** (Theorem 5: their
+//!    write sets combine), then groups with the identical write set merge
+//!    by disjoining their predicates (Theorem 4, for whole write sets
+//!    instead of single `(device, action)` pairs).
 //!
 //! The result is a short list of compact conflict-free overwrites that the
-//! inverse model applies with its cross-product operator.
+//! inverse model applies with its cross-product operator. On a block of
+//! one device every write set is a single `(device, action)` pair, so the
+//! netting is exactly Reduce I; across the devices of a fat tree it emits
+//! about one overwrite per equivalence class the block creates.
 //!
 //! All predicates are rooted [`Pred`] handles, so intermediate shadow
 //! predicates become engine garbage the moment this pipeline drops them and
 //! are reclaimed by the next automatic collection.
 
 use crate::memo::MatchMemo;
-use flash_bdd::{Pred, PredEngine};
+use flash_bdd::{MixBuildHasher, Pred, PredEngine};
 use flash_netmodel::fib::rule_cmp;
 use flash_netmodel::{
     ActionId, DeviceId, Fib, HeaderLayout, Rule, RuleOp, RuleTrie, RuleUpdate,
@@ -286,14 +290,110 @@ pub fn build_rule_trie(layout: &HeaderLayout, fib: &Fib) -> RuleTrie {
     )
 }
 
-/// Reduce I — aggregation by action (Theorem 4): atomic overwrites that
-/// write the same `(device, action)` merge by disjoining predicates.
-pub fn reduce_by_action(
+/// Nets the atomic overwrites of a block — of any number of devices — into
+/// compact conflict-free overwrites: by predicate first, by write set
+/// second.
+///
+/// **Why any grouping is sound.** One device's atomic predicates are
+/// pairwise disjoint (each is its rule's match minus everything above it)
+/// and different devices write different coordinates of the action vector,
+/// so atomic overwrites commute: applying them in any order, or any
+/// partition of them fused into `(⋁ preds, ⋃ writes)` groups whose members
+/// agree on the writes, yields the same model. Grouping by predicate never
+/// puts two different writes of one device together (its predicates are
+/// disjoint and non-empty, hence distinct; only a rule held twice repeats
+/// one), and two groups that overlap share no device, so the emitted
+/// overwrites are conflict-free in any order too.
+///
+/// **Why this order.** Predicates are shared across devices (one prefix is
+/// routed by every switch) while `(device, action)` pairs are not, so
+/// disjoining per device first builds unions that cut across classes and
+/// rarely coincide between devices. Keyed on the predicate, each distinct
+/// packet set collects its whole write vector before any `or` runs, and
+/// the only disjunctions left are between packet sets that end up in the
+/// same class anyway.
+///
+/// Feed it device by device ([`Netting::add`]) so that only the distinct
+/// predicates stay rooted while the map phase runs.
+#[derive(Default)]
+pub struct Netting {
+    /// Predicate → position in `groups`. `Pred` hashes its immutable
+    /// (node, engine) ids — this program's own — so the cheap mix is enough
+    /// and its interior root count never touches the key.
+    index: HashMap<Pred, usize, MixBuildHasher>,
+    /// One `(pred, writes)` group per distinct predicate, first seen first.
+    groups: Vec<Overwrite>,
+}
+
+impl Netting {
+    pub fn new() -> Self {
+        Netting::default()
+    }
+
+    /// Files every atomic overwrite under its predicate.
+    pub fn add(&mut self, atomics: Vec<AtomicOverwrite>) {
+        for a in atomics {
+            match self.index.get(&a.pred) {
+                Some(&i) => self.groups[i].writes.push((a.device, a.action)),
+                None => {
+                    self.index.insert(a.pred.clone(), self.groups.len());
+                    self.groups.push(Overwrite {
+                        pred: a.pred,
+                        writes: vec![(a.device, a.action)],
+                    });
+                }
+            }
+        }
+    }
+
+    /// Merges the groups whose write sets are identical (one batched
+    /// `or_many` each) and returns the compact overwrites, in first-seen
+    /// order of their write sets.
+    pub fn finish(self, engine: &mut PredEngine) -> Vec<Overwrite> {
+        drop(self.index);
+        let mut slot: HashMap<Vec<(DeviceId, ActionId)>, usize, MixBuildHasher> =
+            HashMap::default();
+        let mut preds: Vec<Vec<Pred>> = Vec::new();
+        for mut g in self.groups {
+            // Canonical order, so that equal sets are equal sequences
+            // however the caller interleaved its devices. A FIB holding
+            // one rule twice repeats its write; that is the same write.
+            g.writes.sort_unstable_by_key(|(d, a)| (d.0, a.0));
+            g.writes.dedup();
+            debug_assert!(
+                g.writes.windows(2).all(|w| w[0].0 != w[1].0),
+                "one device wrote two actions to the same predicate"
+            );
+            let next = preds.len();
+            let i = *slot.entry(g.writes).or_insert(next);
+            if i == next {
+                preds.push(Vec::new());
+            }
+            preds[i].push(g.pred);
+        }
+        let mut out: Vec<Overwrite> = preds
+            .into_iter()
+            .map(|mut ps| Overwrite {
+                pred: if ps.len() == 1 { ps.remove(0) } else { engine.or_many(&ps) },
+                writes: Vec::new(),
+            })
+            .collect();
+        for (writes, i) in slot {
+            out[i].writes = writes;
+        }
+        out
+    }
+}
+
+/// Reduce I as the paper states it — aggregation by action (Theorem 4):
+/// atomic overwrites that write the same `(device, action)` merge by
+/// disjoining predicates. Kept as the reference [`Netting`] is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn reduce_by_action(
     engine: &mut PredEngine,
     atomics: &[AtomicOverwrite],
 ) -> Vec<AtomicOverwrite> {
-    // Group first, then disjoin each group with one batched `or_many`
-    // instead of a left-fold of binary `or`s per colliding overwrite.
     let mut index: HashMap<(DeviceId, ActionId), usize> = HashMap::new();
     let mut groups: Vec<(DeviceId, ActionId, Vec<&Pred>)> = Vec::new();
     for a in atomics {
@@ -307,37 +407,29 @@ pub fn reduce_by_action(
     }
     groups
         .into_iter()
-        .map(|(device, action, preds)| {
-            let pred = if preds.len() == 1 {
-                preds[0].clone()
-            } else {
-                engine.or_many(preds)
-            };
-            AtomicOverwrite { pred, device, action }
+        .map(|(device, action, preds)| AtomicOverwrite {
+            pred: engine.or_many(preds),
+            device,
+            action,
         })
         .collect()
 }
 
-/// Reduce II — aggregation by predicate (Theorem 5): overwrites with the
-/// identical predicate (hash-consing makes this an id compare) merge their
-/// write sets. Conflict-freedom holds because a device contributes at most
-/// one write per predicate after Reduce I.
-pub fn reduce_by_predicate(atomics: &[AtomicOverwrite]) -> Vec<Overwrite> {
-    // Pred's interior mutability is only its root refcount; Eq/Hash use
-    // the immutable (node, engine) ids, so it is a sound map key.
+/// Reduce II as the paper states it — aggregation by predicate (Theorem
+/// 5) over the output of [`reduce_by_action`]. Reference only.
+#[cfg(test)]
+pub(crate) fn reduce_by_predicate(atomics: &[AtomicOverwrite]) -> Vec<Overwrite> {
     #[allow(clippy::mutable_key_type)]
     let mut index: HashMap<Pred, usize> = HashMap::new();
     let mut out: Vec<Overwrite> = Vec::new();
     for a in atomics {
         match index.get(&a.pred) {
             Some(&i) => {
-                debug_assert!(
-                    !out[i].writes.iter().any(|(d, act)| *d == a.device && *act != a.action),
-                    "conflicting writes aggregated under one predicate"
+                assert!(
+                    !out[i].writes.iter().any(|(d, _)| *d == a.device),
+                    "one device wrote two actions to the same predicate"
                 );
-                if !out[i].writes.iter().any(|(d, _)| *d == a.device) {
-                    out[i].writes.push((a.device, a.action));
-                }
+                out[i].writes.push((a.device, a.action));
             }
             None => {
                 index.insert(a.pred.clone(), out.len());
@@ -518,6 +610,49 @@ mod tests {
     }
 
     #[test]
+    fn netting_groups_by_predicate_then_by_write_set() {
+        let mut e = PredEngine::new(8);
+        let p = e.prefix(0, 8, 0xA0, 4);
+        let q = e.prefix(0, 8, 0xC0, 4);
+        let r = e.prefix(0, 8, 0x10, 4);
+        let at = |pred: &Pred, d: u32, a: u32| AtomicOverwrite {
+            pred: pred.clone(),
+            device: DeviceId(d),
+            action: ActionId(a),
+        };
+        let mut net = Netting::new();
+        // Device 1 first, device 0 second: the write sets of p and q are
+        // the same set in the same canonical order.
+        net.add(vec![at(&p, 1, 7), at(&q, 1, 7), at(&r, 1, 8)]);
+        net.add(vec![at(&q, 0, 3), at(&p, 0, 3)]);
+        let ows = net.finish(&mut e);
+        assert_eq!(ows.len(), 2);
+        assert_eq!(ows[0].pred, e.or(&p, &q));
+        assert_eq!(
+            ows[0].writes,
+            vec![(DeviceId(0), ActionId(3)), (DeviceId(1), ActionId(7))]
+        );
+        assert_eq!(ows[1].pred, r);
+        assert_eq!(ows[1].writes, vec![(DeviceId(1), ActionId(8))]);
+    }
+
+    #[test]
+    fn netting_of_one_device_is_reduce_one() {
+        let mut e = PredEngine::new(8);
+        let atomics: Vec<AtomicOverwrite> = (0..12u64)
+            .map(|i| AtomicOverwrite {
+                pred: e.prefix(0, 8, i << 4, 4),
+                device: DeviceId(4),
+                action: ActionId((i % 3) as u32 + 1),
+            })
+            .collect();
+        let want = reduce_by_predicate(&reduce_by_action(&mut e, &atomics));
+        let mut net = Netting::new();
+        net.add(atomics);
+        assert_eq!(net.finish(&mut e), want);
+    }
+
+    #[test]
     fn trie_variant_matches_accumulated_variant() {
         // Same expanding rules, same FIB → identical atomic overwrites,
         // whichever shadow-computation strategy is used.
@@ -610,8 +745,9 @@ mod tests {
                 &mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t,
                 &mut MatchMemo::disabled(),
             );
-            let ows = reduce_by_action(&mut e, &ows);
-            let ows = reduce_by_predicate(&ows);
+            let mut net = Netting::new();
+            net.add(ows);
+            let ows = net.finish(&mut e);
             model.apply_overwrites(&mut e, &mut pat, &ows);
         }
         model.check_invariants(&mut e).unwrap();
@@ -665,6 +801,12 @@ mod tests {
         // …→ 1 compact overwrite after Reduce II (same predicate p3).
         assert_eq!(r2.len(), 1);
         assert_eq!(r2[0].writes.len(), 3);
+        // The netting reaches the same overwrite the other way round: two
+        // predicates with three writes each, then one shared write set.
+        let mut net = Netting::new();
+        net.add(all_atomics);
+        let netted = net.finish(&mut e);
+        assert_eq!(netted, r2);
 
         model.apply_overwrites(&mut e, &mut pat, &r2);
         model.check_invariants(&mut e).unwrap();

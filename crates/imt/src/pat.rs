@@ -20,6 +20,7 @@
 //! (`ACTION_DROP`), which keeps initial all-default vectors at the empty
 //! tree [`PAT_NIL`].
 
+use flash_bdd::MixBuildHasher;
 use flash_netmodel::{ActionId, DeviceId, ACTION_DROP};
 use std::collections::HashMap;
 
@@ -29,12 +30,20 @@ pub type PatId = u32;
 /// The empty action vector (every device at the default action).
 pub const PAT_NIL: PatId = 0;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PatNode {
     key: u32,   // device id
     value: u32, // action id
     left: PatId,
     right: PatId,
+}
+
+impl std::hash::Hash for PatNode {
+    /// Two packed words, so the intern table's hasher mixes twice per `mk`.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(((self.key as u64) << 32) | self.value as u64);
+        state.write_u64(((self.left as u64) << 32) | self.right as u64);
+    }
 }
 
 /// splitmix64 — the treap priority of a key. Deterministic across runs.
@@ -54,14 +63,16 @@ fn prio_key(key: u32) -> (u64, u32) {
 #[derive(Debug, Default)]
 pub struct PatStore {
     nodes: Vec<PatNode>,
-    intern: HashMap<PatNode, PatId>,
+    /// Keys are this store's own arena indices and the caller's dense
+    /// device/action ids, so the unique table's cheap mix is enough.
+    intern: HashMap<PatNode, PatId, MixBuildHasher>,
 }
 
 impl PatStore {
     pub fn new() -> Self {
         let mut s = PatStore {
             nodes: Vec::new(),
-            intern: HashMap::new(),
+            intern: HashMap::default(),
         };
         // Slot 0 is a sentinel so PAT_NIL == 0 is never a real node.
         s.nodes.push(PatNode {
@@ -241,6 +252,17 @@ impl PatStore {
     /// Applies a partial overwrite `Δy` (Definition 2's `←` operator):
     /// every `(device, action)` write replaces that device's entry.
     pub fn overwrite(&mut self, t: PatId, writes: &[(DeviceId, ActionId)]) -> PatId {
+        // A netted overwrite of a snapshot writes every device of the
+        // network into the all-default vector: build that tree in one pass
+        // instead of `writes.len()` path-copying inserts.
+        if t == PAT_NIL && writes.len() > 1 && writes.windows(2).all(|w| w[0].0 .0 < w[1].0 .0) {
+            let entries: Vec<((u64, u32), u32)> = writes
+                .iter()
+                .filter(|(_, act)| *act != ACTION_DROP)
+                .map(|(dev, act)| (prio_key(dev.0), act.0))
+                .collect();
+            return self.build(&entries);
+        }
         let mut cur = t;
         for &(dev, act) in writes {
             cur = if act == ACTION_DROP {
@@ -252,6 +274,20 @@ impl PatStore {
             };
         }
         cur
+    }
+
+    /// The canonical tree of `entries` (`((priority, key), value)`, keys
+    /// ascending): the highest priority is the root, the entries before
+    /// and after it are its subtrees — the shape [`Self::set`] arrives at
+    /// one insert at a time, so the interned ids are the same.
+    fn build(&mut self, entries: &[((u64, u32), u32)]) -> PatId {
+        let Some(root) = (0..entries.len()).max_by_key(|&i| entries[i].0) else {
+            return PAT_NIL;
+        };
+        let left = self.build(&entries[..root]);
+        let right = self.build(&entries[root + 1..]);
+        let ((_, key), value) = entries[root];
+        self.mk(key, value, left, right)
     }
 
     /// Number of explicit (non-default) entries — `‖y‖≠0` in the paper.
@@ -326,6 +362,24 @@ mod tests {
             t2 = s.set(t2, d(i), a(i + 100));
         }
         assert_eq!(t1, t2, "hash-consed treaps must be canonical");
+    }
+
+    #[test]
+    fn one_pass_build_interns_the_same_tree_as_repeated_sets() {
+        let mut s = PatStore::new();
+        for n in [2u32, 3, 17, 200, 1279] {
+            // Ascending devices with gaps and default-action holes.
+            let writes: Vec<(DeviceId, ActionId)> =
+                (0..n).map(|i| (d(3 * i + n), a((i * 7 + n) % 5))).collect();
+            let mut by_sets = PAT_NIL;
+            for &(dev, act) in writes.iter().rev() {
+                by_sets = if act == ACTION_DROP { s.remove(by_sets, dev) } else { s.set(by_sets, dev, act) };
+            }
+            let nodes = s.node_count();
+            assert_eq!(s.overwrite(PAT_NIL, &writes), by_sets, "{n} writes");
+            assert_eq!(s.node_count(), nodes, "the one-pass build interned nothing new");
+            assert_eq!(s.weight(by_sets), writes.iter().filter(|w| w.1 != ACTION_DROP).count());
+        }
     }
 
     #[test]

@@ -118,7 +118,8 @@ impl EpochSnapshot {
         &'a self,
         constraint: &'a [Option<bool>],
     ) -> impl Iterator<Item = &'a SnapshotClass> + 'a {
-        self.classes.iter().filter(move |c| self.view.intersects(c.root, constraint))
+        let constraint = self.view.constrain(constraint);
+        self.classes.iter().filter(move |c| self.view.intersects(c.root, &constraint))
     }
 
     /// A partial assignment constraining `field` to the `len`-bit prefix

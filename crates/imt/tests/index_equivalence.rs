@@ -6,12 +6,15 @@
 //!   the same insert/delete churn stream with forced mid-stream GC;
 //! * indexed [`InverseModel::apply_overwrite`] against the index-free
 //!   [`InverseModel::apply_overwrite_linear`] scan on random overwrite
-//!   streams, across forced engine collections and index rebuilds.
+//!   streams, across forced engine collections and index rebuilds;
+//! * the class index's candidate sets against a full scan: for random
+//!   predicates they must contain every class the predicate intersects,
+//!   whatever splits, merges, removals and rebuilds came before.
 //!
 //! "Equivalent" is byte-exact: identical class-key fingerprint sets, not
 //! merely equal class counts.
 
-use flash_bdd::PredEngine;
+use flash_bdd::{Pred, PredEngine};
 use flash_imt::{
     ImtTuning, InverseModel, ModelManager, ModelManagerConfig, Overwrite, PatStore,
     ShadowStrategy,
@@ -165,4 +168,100 @@ fn indexed_overwrites_match_linear_reference_across_collect_and_rebuild() {
     assert!(indexed.has_index(), "indexed model lost its index");
     assert!(indexed.index_stats().pruned > 0, "index never pruned");
     assert!(!linear.has_index(), "linear model must never build an index");
+}
+
+/// A random predicate that is not prefix shaped: ranges, their unions and
+/// complements, and single low bits (wide at every level of the index).
+fn random_pred(rng: &mut StdRng, e: &mut PredEngine, bits: u32) -> Pred {
+    let span = 1u64 << bits;
+    let range = |rng: &mut StdRng, e: &mut PredEngine| {
+        let lo = rng.gen_range(0..span);
+        let len = 1u64 << rng.gen_range(0..bits);
+        e.range(0, bits, lo, (lo + rng.gen_range(0..len)).min(span - 1))
+    };
+    match rng.gen_range(0u32..5) {
+        0 => range(rng, e),
+        1 => {
+            let (a, b) = (range(rng, e), range(rng, e));
+            e.or(&a, &b)
+        }
+        2 => {
+            let a = range(rng, e);
+            e.not(&a)
+        }
+        3 => e.var(rng.gen_range(0..bits)),
+        _ => {
+            let len = rng.gen_range(1..=bits);
+            let value = (rng.gen_range(0..span) >> (bits - len)) << (bits - len);
+            e.prefix(0, bits, value, len)
+        }
+    }
+}
+
+#[test]
+fn index_candidates_are_a_superset_of_intersecting_classes() {
+    // 16 header bits: two full six-level groups and a four-level tail.
+    const BITS: u32 = 16;
+    let mut e = PredEngine::new(BITS);
+    let mut pat = PatStore::new();
+    let mut m = InverseModel::new(e.true_pred());
+    let mut rng = StdRng::seed_from_u64(0x5EED_1DE4);
+
+    let check = |m: &mut InverseModel, e: &mut PredEngine, rng: &mut StdRng, step: usize| {
+        m.check_invariants(e).unwrap();
+        for q in 0..24 {
+            let p = random_pred(rng, e, BITS);
+            let want: Vec<usize> = (0..m.len())
+                .filter(|&i| !e.and(&m.entries()[i].pred, &p).is_false())
+                .collect();
+            let got = m.index_candidates(e, &p).expect("index enabled");
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "candidates sorted and distinct");
+            assert!(got.iter().all(|&i| i < m.len()), "candidates are live classes");
+            let missing: Vec<&usize> = want.iter().filter(|i| !got.contains(i)).collect();
+            assert!(missing.is_empty(), "step {step} query {q}: classes {missing:?} not offered");
+        }
+    };
+
+    let mut max_classes = 0;
+    for step in 0..600usize {
+        // Mostly long prefixes (many small classes: the tree splits three
+        // levels deep), some short ones and some arbitrary predicates
+        // (wide classes, whole-class moves, merges back into one vector).
+        let pred = match rng.gen_range(0u32..10) {
+            0 => random_pred(&mut rng, &mut e, BITS),
+            1 => {
+                let len = rng.gen_range(1u32..=6);
+                let value = (rng.gen_range(0u64..1 << BITS) >> (BITS - len)) << (BITS - len);
+                e.prefix(0, BITS, value, len)
+            }
+            _ => {
+                let len = rng.gen_range(10u32..=BITS);
+                let value = (rng.gen_range(0u64..1 << BITS) >> (BITS - len)) << (BITS - len);
+                e.prefix(0, BITS, value, len)
+            }
+        };
+        // A falling action range empties devices again late in the run, so
+        // classes die and merge as well as split.
+        let top = if step < 400 { 40 } else { 2 };
+        let writes = (0..rng.gen_range(1usize..3))
+            .map(|_| (DeviceId(rng.gen_range(0u32..3)), ActionId(rng.gen_range(0u32..top))))
+            .collect();
+        m.apply_overwrite(&mut e, &mut pat, &Overwrite { pred, writes });
+        max_classes = max_classes.max(m.len());
+        if step % 41 == 40 {
+            e.collect();
+        }
+        if step % 97 == 96 {
+            m.rebuild_index(&mut e);
+        }
+        if step % 15 == 14 {
+            check(&mut m, &mut e, &mut rng, step);
+        }
+    }
+    assert!(max_classes > 100, "workload too small to split the index: {max_classes}");
+    assert!(m.len() < max_classes / 2, "workload never shrank the model: {}", m.len());
+    let ix = m.index_stats();
+    assert!(ix.rebuilds > 1, "slack never forced a rebuild");
+    assert!(ix.pruned > 4 * ix.probed, "index offered {} of {}", ix.probed, ix.probed + ix.pruned);
+    assert!(ix.and_misses * 2 < ix.probed, "{} of {} candidates missed", ix.and_misses, ix.probed);
 }
