@@ -16,12 +16,12 @@
 //! per-block latency percentiles, cpu_total / max_cpu and the folded
 //! [`EngineTelemetry`] of all shard engines; plus the 4-vs-1-thread
 //! wall speedup and a warm-vs-cold comparison (warm block-k latency
-//! against a cold one-shot [`parallel_model_construction`] over blocks
-//! 0..=k with the same 4-shard plan).
+//! against a cold one-shot pool that builds blocks 0..=k as one block
+//! with the same 4-shard plan).
 
 use flash_bdd::EngineTelemetry;
 use flash_bench::{churn_workload, Stats};
-use flash_core::{parallel_model_construction, ShardPool, ShardPoolConfig};
+use flash_core::{ShardPool, ShardPoolConfig};
 use flash_imt::SubspacePlan;
 use flash_netmodel::{DeviceId, FieldId, HeaderLayout, RuleUpdate};
 use std::fmt::Write as _;
@@ -112,11 +112,19 @@ fn cold_oneshot_ms(
     threads: usize,
     bst: usize,
 ) -> f64 {
-    let plan = plan_for(layout, threads);
     let concat: Vec<(DeviceId, RuleUpdate)> =
         blocks[..=k].iter().flatten().cloned().collect();
-    let stats = parallel_model_construction(&plan, layout, &concat, bst, threads);
-    stats.wall.as_secs_f64() * 1e3
+    let t0 = Instant::now();
+    let mut pool = ShardPool::spawn(ShardPoolConfig::model_only(
+        layout.clone(),
+        plan_for(layout, threads),
+        bst,
+        threads,
+    ))
+    .expect("valid model-only config");
+    pool.submit(concat);
+    pool.drain(Duration::from_secs(3600));
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 fn telemetry_json(t: &EngineTelemetry) -> String {

@@ -3,7 +3,9 @@
 use crate::util::{run_with_deadline, Stats, Timed};
 use flash_baselines::{ApKeep, DeltaNet};
 use flash_ce2d::ModelTraversal;
-use flash_core::{Dispatcher, DispatcherConfig, Property, PropertyReport};
+use flash_core::{
+    Dispatcher, DispatcherConfig, Property, PropertyReport, ShardPool, ShardPoolConfig,
+};
 use flash_imt::{ModelManager, ModelManagerConfig, SubspacePlan, SubspaceSpec};
 use flash_netmodel::{ActionTable, DeviceId, FieldId, HeaderLayout, Match, Rule, RuleUpdate};
 use flash_routing::sim::internet2;
@@ -655,10 +657,23 @@ pub fn overhead(scale: Scale) -> OverheadReport {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let stats =
-        flash_core::parallel_model_construction(&plan, &setting.fibs.layout, &seq, usize::MAX, threads);
-
     let subspaces = plan.len();
+    let t0 = Instant::now();
+    let mut pool = ShardPool::spawn(ShardPoolConfig::model_only(
+        setting.fibs.layout.clone(),
+        plan,
+        usize::MAX,
+        threads,
+    ))
+    .expect("model-only config is valid");
+    pool.submit(seq);
+    let epoch = pool
+        .drain(Duration::from_secs(3600))
+        .epochs
+        .pop()
+        .expect("the one block completes");
+    let construction_wall = t0.elapsed();
+
     let vcpus = subspaces;
     // 32 vCPU per instance; memory is never the binding constraint at
     // this scale (the paper found the same at theirs).
@@ -667,9 +682,9 @@ pub fn overhead(scale: Scale) -> OverheadReport {
         switches: ft.switch_count(),
         rules: setting.fibs.total_rules(),
         subspaces,
-        construction_wall: stats.wall,
-        max_subspace_cpu: stats.max_subspace_cpu(),
-        total_memory_bytes: stats.total_bytes(),
+        construction_wall,
+        max_subspace_cpu: epoch.max_cpu(),
+        total_memory_bytes: epoch.total_bytes(),
         vcpus,
         instances,
         dedicated_cost_per_hour: instances as f64 * C6G_8XLARGE_HOURLY,

@@ -1,18 +1,11 @@
-//! A bounded MPSC channel with a configurable backpressure policy.
+//! A bounded, blocking MPSC channel that counts its own load.
 //!
-//! The live service's inbound worker queues previously used `bounded`
-//! channels that block the feed forever under a slow consumer. This
-//! channel makes the overload behavior an explicit [`Backpressure`]
-//! policy and counts what it does (drops, peak depth), so operators can
-//! see overload instead of debugging a wedged dispatcher:
-//!
-//! * [`Backpressure::Block`] — classic bounded-channel behavior: the
-//!   sender waits for space (lossless, feed-paced);
-//! * [`Backpressure::DropOldest`] — the queue keeps the newest messages,
-//!   evicting from the front (bounded staleness);
-//! * [`Backpressure::Shed`]`{ max_lag }` — incoming messages are shed
-//!   once the consumer lags more than `max_lag` messages (bounded
-//!   memory, newest-wins for what is already queued).
+//! Shard workers and query readers take jobs from these channels. A
+//! sender waits for space when the queue is full, so nothing is ever
+//! dropped: a block lost for one worker would leave its epoch
+//! incomplete forever. The channel records its peak depth and how many
+//! jobs it accepted, so a slow consumer shows up in the pool's
+//! [`ChannelStats`] instead of as an unexplained stall.
 //!
 //! Built on `Mutex` + `Condvar` only, so the core crate stays free of
 //! external dependencies.
@@ -22,33 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What a sender does when the queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Wait for the consumer (lossless; the classic bounded channel).
-    Block,
-    /// Evict the oldest queued message to admit the new one.
-    DropOldest,
-    /// Refuse new messages while the consumer lags more than `max_lag`.
-    Shed { max_lag: usize },
-}
-
-/// What happened to a [`PolicySender::send`] call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// The message was enqueued.
-    Sent,
-    /// The message was enqueued after evicting the oldest one.
-    Evicted,
-    /// The message was shed (receiver too far behind).
-    Shed,
-}
-
-/// Monotonic counters a channel keeps about its own overload behavior.
+/// Monotonic counters a channel keeps about its own load.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
-    /// Messages lost to `DropOldest` eviction or `Shed` refusal.
-    pub dropped: u64,
     /// Peak queue depth ever observed.
     pub max_depth: usize,
     /// Messages successfully enqueued.
@@ -70,9 +39,17 @@ struct Inner<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    policy: Backpressure,
-    dropped: AtomicU64,
     senders: AtomicU64,
+}
+
+impl<T> Inner<T> {
+    fn stats(&self) -> ChannelStats {
+        let st = self.state.lock().unwrap();
+        ChannelStats {
+            max_depth: st.max_depth,
+            enqueued: st.enqueued,
+        }
+    }
 }
 
 /// Sending half; clonable.
@@ -96,13 +73,8 @@ pub enum RecvTimeoutError {
     Disconnected,
 }
 
-/// Creates a channel with the given capacity and overload policy. For
-/// `Shed { max_lag }`, the effective queue bound is `min(capacity,
-/// max_lag)`.
-pub fn policy_channel<T>(
-    capacity: usize,
-    policy: Backpressure,
-) -> (PolicySender<T>, PolicyReceiver<T>) {
+/// Creates a channel holding at most `capacity` queued messages.
+pub fn policy_channel<T>(capacity: usize) -> (PolicySender<T>, PolicyReceiver<T>) {
     let capacity = capacity.max(1);
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
@@ -115,72 +87,35 @@ pub fn policy_channel<T>(
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         capacity,
-        policy,
-        dropped: AtomicU64::new(0),
         senders: AtomicU64::new(1),
     });
     (
-        PolicySender { inner: inner.clone() },
+        PolicySender {
+            inner: inner.clone(),
+        },
         PolicyReceiver { inner },
     )
 }
 
 impl<T> PolicySender<T> {
-    /// Applies the channel's backpressure policy and enqueues (or sheds)
-    /// `value`. Returns `Err(Disconnected)` only when the receiver is
-    /// gone.
-    pub fn send(&self, value: T) -> Result<SendOutcome, Disconnected> {
+    /// Enqueues `value`, waiting for space while the queue is full.
+    /// Returns `Err(Disconnected)` only when the receiver is gone.
+    pub fn send(&self, value: T) -> Result<(), Disconnected> {
         let inner = &self.inner;
         let mut st = inner.state.lock().unwrap();
-        let bound = match inner.policy {
-            Backpressure::Shed { max_lag } => inner.capacity.min(max_lag.max(1)),
-            _ => inner.capacity,
-        };
         loop {
             if st.closed_rx {
                 return Err(Disconnected);
             }
-            if st.queue.len() < bound {
+            if st.queue.len() < inner.capacity {
                 st.queue.push_back(value);
                 st.enqueued += 1;
                 st.max_depth = st.max_depth.max(st.queue.len());
                 inner.not_empty.notify_one();
-                return Ok(SendOutcome::Sent);
+                return Ok(());
             }
-            match inner.policy {
-                Backpressure::Block => {
-                    st = inner.not_full.wait(st).unwrap();
-                }
-                Backpressure::DropOldest => {
-                    st.queue.pop_front();
-                    inner.dropped.fetch_add(1, Ordering::Relaxed);
-                    st.queue.push_back(value);
-                    st.enqueued += 1;
-                    st.max_depth = st.max_depth.max(st.queue.len());
-                    inner.not_empty.notify_one();
-                    return Ok(SendOutcome::Evicted);
-                }
-                Backpressure::Shed { .. } => {
-                    inner.dropped.fetch_add(1, Ordering::Relaxed);
-                    return Ok(SendOutcome::Shed);
-                }
-            }
+            st = inner.not_full.wait(st).unwrap();
         }
-    }
-
-    /// The channel's overload counters.
-    pub fn stats(&self) -> ChannelStats {
-        let st = self.inner.state.lock().unwrap();
-        ChannelStats {
-            dropped: self.inner.dropped.load(Ordering::Relaxed),
-            max_depth: st.max_depth,
-            enqueued: st.enqueued,
-        }
-    }
-
-    /// Current queue depth (consumer lag).
-    pub fn depth(&self) -> usize {
-        self.inner.state.lock().unwrap().queue.len()
     }
 
     /// A stats-only handle that does **not** keep the channel open: it
@@ -188,7 +123,9 @@ impl<T> PolicySender<T> {
     /// closes the channel (the drain signal) while the probe can keep
     /// reporting counters.
     pub fn probe(&self) -> ChannelProbe<T> {
-        ChannelProbe { inner: self.inner.clone() }
+        ChannelProbe {
+            inner: self.inner.clone(),
+        }
     }
 }
 
@@ -199,12 +136,7 @@ pub struct ChannelProbe<T> {
 
 impl<T> ChannelProbe<T> {
     pub fn stats(&self) -> ChannelStats {
-        let st = self.inner.state.lock().unwrap();
-        ChannelStats {
-            dropped: self.inner.dropped.load(Ordering::Relaxed),
-            max_depth: st.max_depth,
-            enqueued: st.enqueued,
-        }
+        self.inner.stats()
     }
 
     pub fn depth(&self) -> usize {
@@ -215,7 +147,9 @@ impl<T> ChannelProbe<T> {
 impl<T> Clone for PolicySender<T> {
     fn clone(&self) -> Self {
         self.inner.senders.fetch_add(1, Ordering::Relaxed);
-        PolicySender { inner: self.inner.clone() }
+        PolicySender {
+            inner: self.inner.clone(),
+        }
     }
 }
 
@@ -286,14 +220,9 @@ impl<T> PolicyReceiver<T> {
         v
     }
 
-    /// The channel's overload counters (receiver-side view).
+    /// The channel's load counters (receiver-side view).
     pub fn stats(&self) -> ChannelStats {
-        let st = self.inner.state.lock().unwrap();
-        ChannelStats {
-            dropped: self.inner.dropped.load(Ordering::Relaxed),
-            max_depth: st.max_depth,
-            enqueued: st.enqueued,
-        }
+        self.inner.stats()
     }
 }
 
@@ -301,7 +230,7 @@ impl<T> Drop for PolicyReceiver<T> {
     fn drop(&mut self) {
         let mut st = self.inner.state.lock().unwrap();
         st.closed_rx = true;
-        // Unblock senders waiting under the Block policy.
+        // Unblock senders waiting for space.
         self.inner.not_full.notify_all();
     }
 }
@@ -312,52 +241,24 @@ mod tests {
 
     #[test]
     fn block_policy_applies_backpressure() {
-        let (tx, rx) = policy_channel::<u32>(2, Backpressure::Block);
-        assert_eq!(tx.send(1), Ok(SendOutcome::Sent));
-        assert_eq!(tx.send(2), Ok(SendOutcome::Sent));
+        let (tx, rx) = policy_channel::<u32>(2);
+        assert_eq!(tx.send(1), Ok(()));
+        assert_eq!(tx.send(2), Ok(()));
         // Third send must wait until the consumer drains one slot.
         let t = std::thread::spawn(move || tx.send(3));
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(t.join().unwrap(), Ok(SendOutcome::Sent));
+        assert_eq!(t.join().unwrap(), Ok(()));
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
-    }
-
-    #[test]
-    fn drop_oldest_keeps_newest() {
-        let (tx, rx) = policy_channel::<u32>(3, Backpressure::DropOldest);
-        for i in 0..10 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(tx.stats().dropped, 7);
-        assert_eq!(rx.try_recv(), Some(7));
-        assert_eq!(rx.try_recv(), Some(8));
-        assert_eq!(rx.try_recv(), Some(9));
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    fn shed_bounds_depth_to_max_lag() {
-        let (tx, rx) = policy_channel::<u32>(1024, Backpressure::Shed { max_lag: 5 });
-        let mut shed = 0;
-        for i in 0..100 {
-            if tx.send(i) == Ok(SendOutcome::Shed) {
-                shed += 1;
-            }
-        }
-        let stats = tx.stats();
-        assert_eq!(shed, 95);
-        assert_eq!(stats.dropped, 95);
-        assert!(stats.max_depth <= 5, "depth {} exceeded max_lag", stats.max_depth);
-        // The five oldest messages survive, in order.
-        assert_eq!(rx.recv(), Ok(0));
-        assert_eq!(rx.recv(), Ok(1));
+        let stats = rx.stats();
+        assert_eq!(stats.max_depth, 2, "the queue never grew past its capacity");
+        assert_eq!(stats.enqueued, 3, "nothing was dropped");
     }
 
     #[test]
     fn receiver_drop_unblocks_sender() {
-        let (tx, rx) = policy_channel::<u32>(1, Backpressure::Block);
+        let (tx, rx) = policy_channel::<u32>(1);
         tx.send(0).unwrap();
         let t = std::thread::spawn(move || tx.send(1));
         std::thread::sleep(Duration::from_millis(30));
@@ -367,7 +268,7 @@ mod tests {
 
     #[test]
     fn sender_drop_disconnects_receiver() {
-        let (tx, rx) = policy_channel::<u32>(4, Backpressure::Block);
+        let (tx, rx) = policy_channel::<u32>(4);
         let tx2 = tx.clone();
         tx.send(1).unwrap();
         drop(tx);
@@ -384,7 +285,7 @@ mod tests {
 
     #[test]
     fn probe_does_not_keep_channel_open() {
-        let (tx, rx) = policy_channel::<u32>(4, Backpressure::Block);
+        let (tx, rx) = policy_channel::<u32>(4);
         let probe = tx.probe();
         tx.send(5).unwrap();
         drop(tx);
@@ -397,7 +298,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_times_out() {
-        let (tx, rx) = policy_channel::<u32>(4, Backpressure::Block);
+        let (tx, rx) = policy_channel::<u32>(4);
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(20)),
             Err(RecvTimeoutError::Timeout)

@@ -1,6 +1,6 @@
 //! The unified error type of the Flash core crate.
 //!
-//! Dispatcher, verifier, adapter, and live-service APIs that previously
+//! Dispatcher, verifier, adapter, and shard-pool APIs that previously
 //! panicked or returned bare values thread [`FlashError`] instead, so a
 //! malformed agent feed or a failing worker degrades into a reportable
 //! condition rather than a process abort. Hand-rolled (`thiserror`-style
@@ -16,11 +16,6 @@ pub enum FlashError {
     WorkerPanic { worker: usize, message: String },
     /// A worker exhausted its restart budget and was abandoned.
     RestartsExhausted { worker: usize, restarts: u32 },
-    /// A channel endpoint disappeared (worker or consumer gone).
-    ChannelClosed { worker: usize },
-    /// Drain shutdown missed its deadline; `abandoned` lists the workers
-    /// that were still running when the deadline expired.
-    DrainTimeout { abandoned: Vec<usize> },
     /// An invalid service or fault-plan configuration.
     Config(String),
     /// A durable epoch-journal operation failed (I/O or corruption
@@ -58,12 +53,6 @@ impl std::fmt::Display for FlashError {
             FlashError::RestartsExhausted { worker, restarts } => {
                 write!(f, "worker {worker} abandoned after {restarts} restarts")
             }
-            FlashError::ChannelClosed { worker } => {
-                write!(f, "channel to worker {worker} closed")
-            }
-            FlashError::DrainTimeout { abandoned } => {
-                write!(f, "drain deadline expired; abandoned workers {abandoned:?}")
-            }
             FlashError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             FlashError::Journal(msg) => write!(f, "journal: {msg}"),
             FlashError::Process { worker, msg } => {
@@ -84,8 +73,11 @@ mod tests {
         let e = FlashError::parse(7, "bad prefix");
         assert_eq!(e.to_string(), "line 7: bad prefix");
         assert_eq!(e.parse_line(), Some(7));
-        let e = FlashError::DrainTimeout { abandoned: vec![1, 3] };
-        assert!(e.to_string().contains("[1, 3]"));
+        let e = FlashError::RestartsExhausted {
+            worker: 1,
+            restarts: 3,
+        };
+        assert_eq!(e.to_string(), "worker 1 abandoned after 3 restarts");
         assert_eq!(e.parse_line(), None);
     }
 }

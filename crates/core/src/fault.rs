@@ -1,29 +1,19 @@
-//! Deterministic, seed-driven fault injection for the live service.
+//! Deterministic fault injection for the shard pool's workers.
 //!
-//! Distributed DPV deployments see agent messages dropped, duplicated,
-//! reordered and delayed, and verifier workers crash. This module makes
-//! those faults reproducible test inputs: a [`FaultPlan`] describes the
-//! fault mix, and a [`FaultInjector`] applies it to the message stream
-//! at the service ingress, deterministically for a given seed.
+//! Verifier workers crash, hang and fall behind. This module makes
+//! those faults reproducible test inputs: a [`FaultPlan`] names which
+//! worker fails, how, and after how many batches. Each fault fires
+//! exactly once.
 //!
-//! Transport faults model an at-least-once agent channel:
-//!
-//! * **drop** — the first transmission is lost; the message is
-//!   *retransmitted* after up to `max_hold` later sends (the agent's
-//!   reliable-delivery retry). A drop therefore delays, never erases.
-//! * **duplicate** — the message is delivered twice (retry after a lost
-//!   ack). The service's ingress dedup filter must absorb it.
-//! * **reorder** — the message is held back behind up to `max_hold`
-//!   later messages, then delivered out of order.
-//!
-//! Worker faults are triggered inside the supervised worker:
-//!
-//! * **kill** — worker `worker` panics once, after processing
-//!   `after_batches` messages (exercises supervision + epoch replay);
+//! * **kill** — the worker panics after processing `after_batches`
+//!   jobs (exercises supervision + journal replay);
+//! * **hang** — the worker stalls once; a process-mode child stops
+//!   heartbeating, so the hang is detected and the child respawned;
+//! * **process kill** / **corrupt frame** — a process-mode child aborts
+//!   mid-protocol, or flips a byte in one result frame;
 //! * **worker_delay** — every batch takes at least this long (turns a
-//!   worker into the slow consumer backpressure policies act on).
+//!   worker into a slow consumer that fills its queue).
 
-use crate::live::LiveMessage;
 use std::time::Duration;
 
 /// Kill one worker after it has processed a number of batches. The kill
@@ -58,20 +48,9 @@ pub struct CorruptSpec {
     pub after_frames: u64,
 }
 
-/// A reproducible fault mix. Probabilities are per message in `[0, 1]`.
-#[derive(Clone, Debug)]
+/// A reproducible set of worker faults for chaos tests.
+#[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Seed for every injection decision.
-    pub seed: u64,
-    /// Probability a message's first transmission is lost (it is
-    /// retransmitted later).
-    pub drop_prob: f64,
-    /// Probability a message is delivered twice.
-    pub dup_prob: f64,
-    /// Probability a message is held back and delivered out of order.
-    pub reorder_prob: f64,
-    /// Upper bound on how many later sends a held message waits behind.
-    pub max_hold: usize,
     /// Workers to kill (each fires once).
     pub kill_workers: Vec<KillSpec>,
     /// Workers to stall (each fires once).
@@ -85,38 +64,9 @@ pub struct FaultPlan {
     pub worker_delay: Option<Duration>,
 }
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            reorder_prob: 0.0,
-            max_hold: 4,
-            kill_workers: Vec::new(),
-            hang_workers: Vec::new(),
-            kill_process: Vec::new(),
-            corrupt_frames: Vec::new(),
-            worker_delay: None,
-        }
-    }
-}
-
 impl FaultPlan {
-    /// Validates probability bounds and kill targets against the worker
-    /// count.
+    /// Validates every fault target against the worker count.
     pub fn validate(&self, workers: usize) -> Result<(), crate::error::FlashError> {
-        for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("dup_prob", self.dup_prob),
-            ("reorder_prob", self.reorder_prob),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(crate::error::FlashError::Config(format!(
-                    "{name} = {p} outside [0, 1]"
-                )));
-            }
-        }
         if let Some(k) = self.kill_workers.iter().find(|k| k.worker >= workers) {
             return Err(crate::error::FlashError::Config(format!(
                 "kill target worker {} out of range (workers = {})",
@@ -177,213 +127,23 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64: a tiny deterministic generator for injection decisions.
-#[derive(Clone, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        ((self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        if bound <= 1 {
-            return 0;
-        }
-        self.next_u64() % bound
-    }
-}
-
-/// Counters of what the injector actually did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    pub dropped_then_retransmitted: u64,
-    pub duplicated: u64,
-    pub reordered: u64,
-}
-
-/// Applies a [`FaultPlan`] to a message stream. `offer` maps each
-/// original send to zero or more deliveries; `flush` releases every
-/// still-held message (the retransmission when the feed idles).
-#[derive(Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    rng: SplitMix64,
-    /// Held messages with the send-counter value at which they release.
-    pending: Vec<(u64, LiveMessage)>,
-    sends: u64,
-    stats: FaultStats,
-}
-
-impl FaultInjector {
-    pub fn new(plan: FaultPlan) -> Self {
-        let rng = SplitMix64(plan.seed ^ 0xD1B5_4A32_D192_ED03);
-        FaultInjector {
-            plan,
-            rng,
-            pending: Vec::new(),
-            sends: 0,
-            stats: FaultStats::default(),
-        }
-    }
-
-    fn release_due(&mut self, out: &mut Vec<LiveMessage>) {
-        let sends = self.sends;
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= sends {
-                out.push(self.pending.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn hold(&mut self, msg: LiveMessage) {
-        let wait = 1 + self.rng.below(self.plan.max_hold.max(1) as u64);
-        self.pending.push((self.sends + wait, msg));
-    }
-
-    /// Feeds one original message; returns the deliveries it produces
-    /// (possibly none now, possibly held messages from earlier sends).
-    pub fn offer(&mut self, msg: LiveMessage) -> Vec<LiveMessage> {
-        self.sends += 1;
-        let mut out = Vec::with_capacity(2);
-        if self.rng.chance(self.plan.drop_prob) {
-            // Lost on the wire; retransmitted later.
-            self.stats.dropped_then_retransmitted += 1;
-            self.hold(msg);
-        } else if self.rng.chance(self.plan.dup_prob) {
-            self.stats.duplicated += 1;
-            out.push(msg.clone());
-            out.push(msg);
-        } else if self.rng.chance(self.plan.reorder_prob) {
-            self.stats.reordered += 1;
-            self.hold(msg);
-        } else {
-            out.push(msg);
-        }
-        self.release_due(&mut out);
-        out
-    }
-
-    /// Releases every held message (call before drain/shutdown).
-    pub fn flush(&mut self) -> Vec<LiveMessage> {
-        self.pending.sort_by_key(|(release, _)| *release);
-        self.pending.drain(..).map(|(_, m)| m).collect()
-    }
-
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_netmodel::DeviceId;
-
-    fn msg(at: u64) -> LiveMessage {
-        LiveMessage {
-            at,
-            device: DeviceId(at as u32),
-            epoch: 1,
-            updates: vec![],
-        }
-    }
-
-    fn run(plan: FaultPlan, n: u64) -> Vec<u64> {
-        let mut inj = FaultInjector::new(plan);
-        let mut seen = Vec::new();
-        for at in 0..n {
-            for m in inj.offer(msg(at)) {
-                seen.push(m.at);
-            }
-        }
-        for m in inj.flush() {
-            seen.push(m.at);
-        }
-        seen
-    }
-
-    #[test]
-    fn no_faults_is_identity() {
-        let seen = run(FaultPlan::default(), 20);
-        assert_eq!(seen, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn injection_is_deterministic_per_seed() {
-        let plan = FaultPlan {
-            seed: 42,
-            drop_prob: 0.2,
-            dup_prob: 0.2,
-            reorder_prob: 0.2,
-            ..FaultPlan::default()
-        };
-        assert_eq!(run(plan.clone(), 50), run(plan.clone(), 50));
-        let other = FaultPlan { seed: 43, ..plan };
-        assert_ne!(run(other, 50), run(FaultPlan { seed: 42, ..FaultPlan::default() }, 50));
-    }
-
-    #[test]
-    fn every_message_is_eventually_delivered_at_least_once() {
-        let plan = FaultPlan {
-            seed: 7,
-            drop_prob: 0.3,
-            dup_prob: 0.3,
-            reorder_prob: 0.3,
-            max_hold: 6,
-            ..FaultPlan::default()
-        };
-        let seen = run(plan, 200);
-        let mut unique: Vec<u64> = seen.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique, (0..200).collect::<Vec<_>>(), "lost messages");
-        assert!(seen.len() >= 200, "duplicates should only add deliveries");
-    }
-
-    #[test]
-    fn faults_actually_fire() {
-        let plan = FaultPlan {
-            seed: 9,
-            drop_prob: 0.25,
-            dup_prob: 0.25,
-            reorder_prob: 0.25,
-            ..FaultPlan::default()
-        };
-        let mut inj = FaultInjector::new(plan);
-        for at in 0..300 {
-            inj.offer(msg(at));
-        }
-        let s = inj.stats();
-        assert!(s.dropped_then_retransmitted > 0);
-        assert!(s.duplicated > 0);
-        assert!(s.reordered > 0);
-    }
 
     #[test]
     fn validate_rejects_bad_plans() {
-        let bad = FaultPlan { drop_prob: 1.5, ..FaultPlan::default() };
-        assert!(bad.validate(2).is_err());
         let bad = FaultPlan {
             kill_workers: vec![KillSpec { worker: 5, after_batches: 1 }],
+            ..FaultPlan::default()
+        };
+        assert!(bad.validate(2).is_err());
+        let bad = FaultPlan {
+            hang_workers: vec![HangSpec {
+                worker: 2,
+                after_batches: 1,
+                duration: Duration::from_millis(1),
+            }],
             ..FaultPlan::default()
         };
         assert!(bad.validate(2).is_err());

@@ -16,8 +16,8 @@
 //! This crate is the system of Figure 1: the [`Dispatcher`] (epoch
 //! tracking, update queues, verifier life cycle), the
 //! [`SubspaceVerifier`] (model manager + CE2D verifiers for one packet
-//! subspace) and the [`parallel`] runner that executes one verifier per
-//! subspace across OS threads.
+//! subspace) and the [`ShardPool`] that keeps one warm verifier per
+//! subspace alive across supervised OS threads.
 //!
 //! ## Quickstart
 //!
@@ -67,8 +67,6 @@ pub mod dispatcher;
 pub mod error;
 pub mod fault;
 pub mod journal;
-pub mod live;
-pub mod parallel;
 mod pool;
 pub mod proc;
 pub mod query;
@@ -77,19 +75,15 @@ pub mod supervise;
 pub mod verifier;
 pub mod wire;
 
-pub use channel::{Backpressure, ChannelStats, SendOutcome};
+pub use channel::ChannelStats;
 pub use dispatcher::{Dispatcher, DispatcherConfig, TimedReport};
 pub use error::FlashError;
-pub use fault::{CorruptSpec, FaultPlan, FaultStats, HangSpec, KillSpec};
+pub use fault::{CorruptSpec, FaultPlan, HangSpec, KillSpec};
 pub use journal::{EpochJournal, JournalEntry, JournalTail};
-pub use live::{
-    DrainOutcome, LiveConfig, LiveMessage, LiveReport, LiveService, LiveVerifier,
-    ServiceStats, WorkerStats,
-};
-pub use parallel::{parallel_model_construction, ParallelStats, SubspaceStats};
+pub use pool::WorkerStats;
 pub use query::{
-    AnswerKind, PendingAnswer, Query, QueryAnswer, QueryHub, QueryRejected, QueryService,
-    QueryServiceConfig, QuerySession, TenantStats,
+    AnswerKind, Backpressure, PendingAnswer, Query, QueryAnswer, QueryHub, QueryRejected,
+    QueryService, QueryServiceConfig, QuerySession, TenantStats,
 };
 pub use shard::{
     DegradedShard, EpochReport, RecoveryOptions, ShardDrainOutcome, ShardMode, ShardPool,

@@ -1,20 +1,52 @@
-//! The shared worker-pool scaffolding beneath [`crate::live`] and
-//! [`crate::shard`]: N long-lived OS threads, each running one
-//! [`SupervisedWorker`] behind a policy channel, with per-worker
-//! shared-state probes and a deadline-bounded join.
+//! The worker-pool scaffolding beneath [`crate::shard`]: N long-lived
+//! OS threads, each running one [`SupervisedWorker`] behind a bounded,
+//! blocking channel, with per-worker shared-state probes and a
+//! deadline-bounded join.
 //!
-//! The pool knows nothing about *what* the workers do — the live
-//! service plugs in CE2D dispatchers, the shard pool plugs in warm
-//! subspace verifiers — so the chaos-tested supervision, backpressure,
-//! and drain behavior is written (and tested) exactly once.
+//! The pool knows nothing about *what* the workers do — the shard pool
+//! plugs in warm subspace verifiers, in-thread or as proxies for child
+//! processes — so supervision and drain are written (and tested) once.
 
-use crate::channel::{policy_channel, Backpressure, ChannelProbe, Disconnected, SendOutcome};
-use crate::live::WorkerStats;
-use crate::supervise::{run_supervised, RestartPolicy, SupervisedWorker, WorkerFaults, WorkerShared};
+use crate::channel::{policy_channel, ChannelProbe, ChannelStats, Disconnected, PolicySender};
+use crate::error::FlashError;
+use crate::supervise::{
+    run_supervised, RestartPolicy, SupervisedWorker, WorkerFaults, WorkerHealth, WorkerShared,
+};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Per-worker counters reported by [`crate::ShardPool::stats`].
+#[derive(Clone, Debug)]
+pub struct WorkerStats {
+    pub worker: usize,
+    /// Respawns after panics.
+    pub restarts: u32,
+    /// Messages processed, including epoch-replayed ones
+    /// (`processed + replayed`).
+    pub batches: u64,
+    /// Fresh (live) messages processed, exactly once each.
+    pub processed: u64,
+    /// Messages re-processed during crash-recovery replay.
+    pub replayed: u64,
+    /// Rejoin attempts after entering the degraded state.
+    pub rejoins: u32,
+    /// Checkpoints taken (each one truncated the replay journal).
+    pub checkpoints: u64,
+    /// Jobs currently journaled since the last checkpoint.
+    pub journal_len: u64,
+    pub health: WorkerHealth,
+    /// Inbound channel counters (peak depth, enqueued).
+    pub channel: ChannelStats,
+    /// Current inbound queue depth.
+    pub depth: usize,
+    /// Most recent failure, if any.
+    pub last_error: Option<FlashError>,
+    /// Aggregate predicate-engine telemetry across the worker's live
+    /// verifiers, as of its most recently processed batch.
+    pub engine: flash_bdd::EngineTelemetry,
+}
 
 /// Channel/supervision knobs common to every pool.
 #[derive(Clone, Copy, Debug)]
@@ -22,13 +54,12 @@ pub(crate) struct PoolConfig {
     pub workers: usize,
     /// Per-worker inbound queue capacity.
     pub capacity: usize,
-    pub backpressure: Backpressure,
     pub restart: RestartPolicy,
 }
 
 /// A pool of supervised workers consuming jobs of type `J`.
 pub(crate) struct WorkerPool<J> {
-    inputs: Vec<crate::channel::PolicySender<J>>,
+    inputs: Vec<PolicySender<J>>,
     probes: Vec<ChannelProbe<J>>,
     shared: Vec<Arc<WorkerShared>>,
     handles: Vec<JoinHandle<()>>,
@@ -52,7 +83,7 @@ impl<J: Clone + Send + 'static> WorkerPool<J> {
         let mut shared = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for w in 0..n {
-            let (tx, rx) = policy_channel::<J>(cfg.capacity, cfg.backpressure);
+            let (tx, rx) = policy_channel::<J>(cfg.capacity);
             probes.push(tx.probe());
             inputs.push(tx);
             let ws = Arc::new(WorkerShared::new());
@@ -64,16 +95,21 @@ impl<J: Clone + Send + 'static> WorkerPool<J> {
                 run_supervised(worker, rx, w, restart, ws, faults);
             }));
         }
-        WorkerPool { inputs, probes, shared, handles }
+        WorkerPool {
+            inputs,
+            probes,
+            shared,
+            handles,
+        }
     }
 
     pub fn worker_count(&self) -> usize {
         self.shared.len()
     }
 
-    /// Sends a job to worker `w` under its backpressure policy.
+    /// Sends a job to worker `w`, waiting while its queue is full.
     /// `Err(Disconnected)` means the worker was abandoned or drained.
-    pub fn send(&self, w: usize, job: J) -> Result<SendOutcome, Disconnected> {
+    pub fn send(&self, w: usize, job: J) -> Result<(), Disconnected> {
         match self.inputs.get(w) {
             Some(tx) => tx.send(job),
             None => Err(Disconnected),
@@ -92,7 +128,7 @@ impl<J: Clone + Send + 'static> WorkerPool<J> {
     }
 
     /// Current lifecycle state of worker `w`.
-    pub fn health(&self, w: usize) -> crate::supervise::WorkerHealth {
+    pub fn health(&self, w: usize) -> WorkerHealth {
         self.shared[w].health()
     }
 
@@ -118,7 +154,9 @@ impl<J: Clone + Send + 'static> WorkerPool<J> {
 
     /// Snapshot for every worker.
     pub fn all_stats(&self) -> Vec<WorkerStats> {
-        (0..self.worker_count()).map(|w| self.worker_stats(w)).collect()
+        (0..self.worker_count())
+            .map(|w| self.worker_stats(w))
+            .collect()
     }
 
     /// True when every supervisor thread has returned.

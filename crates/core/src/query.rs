@@ -27,11 +27,11 @@
 //! Sessions ([`QueryService::session`]) carry a per-tenant
 //! [`Backpressure`] policy. `Shed { max_lag }` refuses new queries while
 //! the tenant has `max_lag` answers outstanding (bounded per-tenant
-//! memory, no cross-tenant head-of-line blocking); `Block` and
-//! `DropOldest` admit unconditionally and lean on the shared reader
-//! queue's own policy.
+//! memory, no cross-tenant head-of-line blocking); `Block` admits
+//! unconditionally and waits on the shared reader queue when it is
+//! full.
 
-use crate::channel::{policy_channel, Backpressure, PolicySender, RecvTimeoutError};
+use crate::channel::{policy_channel, PolicySender, RecvTimeoutError};
 use crate::error::FlashError;
 use crate::wire::{Wire, WireError, WireReader};
 use flash_imt::{EpochSnapshot, SnapshotClass, SubspacePlan};
@@ -448,6 +448,17 @@ struct TenantShared {
     shed: AtomicU64,
 }
 
+/// A tenant session's admission policy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backpressure {
+    /// Admit every query; the submitter waits while the shared reader
+    /// queue is full.
+    Block,
+    /// Refuse new queries while the tenant has `max_lag` answers
+    /// outstanding.
+    Shed { max_lag: usize },
+}
+
 /// Why a session refused (or lost) a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryRejected {
@@ -583,7 +594,7 @@ impl QueryService {
                 cfg.plan.len()
             )));
         }
-        let (tx, rx) = policy_channel::<Job>(cfg.capacity.max(1), Backpressure::Block);
+        let (tx, rx) = policy_channel::<Job>(cfg.capacity.max(1));
         let rx = Arc::new(rx);
         let shared = Arc::new(Shared {
             hub: cfg.hub,
@@ -707,7 +718,6 @@ mod tests {
             bst: usize::MAX,
             threads: 2,
             capacity: 64,
-            backpressure: Backpressure::Block,
             restart: crate::supervise::RestartPolicy::default(),
             collect_class_keys: false,
             faults: None,

@@ -16,8 +16,8 @@
 //! update itself is cloned exactly once, at the shard that applies it.
 //!
 //! Submission is pipelined: `submit` returns as soon as the block is
-//! on the bounded worker queues (under the configured
-//! [`Backpressure`] policy), so routing of block k+1 overlaps
+//! on the bounded worker queues (waiting only while a queue is full;
+//! no block is ever dropped), so routing of block k+1 overlaps
 //! verification of block k. Verdicts stream back through a
 //! sequence-numbered aggregator: workers emit one [`ShardResult`] per
 //! owned shard per block, and [`ShardPool::recv_epoch`] releases an
@@ -25,18 +25,16 @@
 //! have reported, merging property reports and engine telemetry into
 //! a per-epoch view.
 //!
-//! Workers run under the same supervision as the live service
-//! ([`crate::supervise`]): a panicking worker is rebuilt by replaying
-//! its journaled block history, and the `reported` set it keeps
-//! outside the unwind boundary suppresses duplicate results, so the
-//! aggregator's per-epoch accounting survives crashes.
+//! Workers run under supervision ([`crate::supervise`]): a panicking
+//! worker is rebuilt by replaying its journaled block history, and the
+//! `reported` set it keeps outside the unwind boundary suppresses
+//! duplicate results, so the aggregator's per-epoch accounting
+//! survives crashes.
 
-use crate::channel::Backpressure;
 use crate::error::FlashError;
 use crate::fault::FaultPlan;
 use crate::journal::EpochJournal;
-use crate::live::WorkerStats;
-use crate::pool::{PoolConfig, WorkerPool};
+use crate::pool::{PoolConfig, WorkerPool, WorkerStats};
 use crate::supervise::{OutputClosed, RestartPolicy, SupervisedWorker, WorkerFaults, WorkerHealth};
 use crate::verifier::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
 use crate::wire::{ShardCheckpoint, WorkerCheckpoint};
@@ -300,16 +298,15 @@ pub struct ShardPoolConfig {
     pub bst: usize,
     /// Worker threads; capped by the number of subspaces.
     pub threads: usize,
-    /// Per-worker inbound queue capacity (in blocks).
+    /// Per-worker inbound queue capacity (in blocks). `submit` waits
+    /// while a worker's queue is full.
     pub capacity: usize,
-    pub backpressure: Backpressure,
     pub restart: RestartPolicy,
     /// Collect per-class fingerprints into every [`ShardResult`]
     /// (needed by the parallel-vs-sequential equivalence checks; costs
     /// a model walk per shard per block).
     pub collect_class_keys: bool,
-    /// Optional chaos testing: worker kills and per-batch delays (the
-    /// ingress perturbations of [`FaultPlan`] do not apply here).
+    /// Optional chaos testing: worker kills, hangs and per-batch delays.
     pub faults: Option<FaultPlan>,
     /// Fast IMT performance knobs, passed to every shard verifier.
     pub tuning: ImtTuning,
@@ -335,7 +332,6 @@ impl ShardPoolConfig {
             bst,
             threads,
             capacity: 64,
-            backpressure: Backpressure::Block,
             restart: RestartPolicy::default(),
             collect_class_keys: false,
             faults: None,
@@ -476,6 +472,62 @@ impl ShardCore {
         })
     }
 
+    /// The verifier of owned shard `local`, built on first use.
+    fn warm(&mut self, local: usize) -> &mut SubspaceVerifier {
+        if self.slots[local].is_none() {
+            self.slots[local] = Some(self.build_verifier(self.shards[local]));
+        }
+        self.slots[local].as_mut().expect("just built")
+    }
+
+    /// Publishes owned shard `local`'s model as epoch `seq` to the query
+    /// hub, if one is attached. Called before the shard's result is
+    /// emitted: an epoch the aggregator reports complete is already
+    /// queryable.
+    fn publish(&mut self, local: usize, seq: u64) {
+        if let (Some(hub), Some(v)) = (&self.query_hub, &mut self.slots[local]) {
+            hub.publish(self.shards[local], v.manager_mut().publish_snapshot(seq));
+        }
+    }
+
+    /// Owned shard `local`'s result for epoch `seq`, read from its
+    /// verifier; a shard whose engine was never built reports zeros.
+    fn result(
+        &self,
+        local: usize,
+        seq: u64,
+        skipped: bool,
+        t0: Instant,
+        reports: Vec<PropertyReport>,
+    ) -> ShardResult {
+        let mut r = ShardResult {
+            seq,
+            shard: self.shards[local],
+            worker: self.worker,
+            skipped,
+            cpu: t0.elapsed(),
+            classes: 0,
+            ops: 0,
+            bytes: 0,
+            engine: EngineTelemetry::default(),
+            reports,
+            class_keys: Vec::new(),
+            stats: UpdateStats::default(),
+        };
+        if let Some(v) = &self.slots[local] {
+            let mgr = v.manager();
+            r.classes = mgr.model().len();
+            r.ops = mgr.engine().op_count();
+            r.bytes = mgr.approx_bytes();
+            r.engine = mgr.engine().telemetry();
+            if self.cfg.collect_class_keys {
+                r.class_keys = mgr.class_keys();
+            }
+            r.stats = mgr.stats();
+        }
+        r
+    }
+
     /// Forces a mark-sweep collection on every warm engine.
     pub fn collect(&mut self) {
         for v in self.slots.iter_mut().flatten() {
@@ -492,70 +544,17 @@ impl ShardCore {
     ) -> Result<(), OutputClosed> {
         let devices = block.devices();
         let model_only = self.cfg.properties.is_empty();
-        for (local, slot) in self.slots.iter_mut().enumerate() {
-            let shard = self.shards[local];
+        for local in 0..self.slots.len() {
             let t0 = Instant::now();
-            let routed = &block.routed[shard];
+            let routed = &block.routed[self.shards[local]];
             if routed.is_empty() && model_only {
                 // Nothing routed here and nothing to verify: don't
                 // construct (or touch) the engine. Echo the previous
                 // state so aggregate counters stay meaningful.
-                let result = match &*slot {
-                    None => ShardResult {
-                        seq: block.seq,
-                        shard,
-                        worker: self.worker,
-                        skipped: true,
-                        cpu: t0.elapsed(),
-                        classes: 0,
-                        ops: 0,
-                        bytes: 0,
-                        engine: EngineTelemetry::default(),
-                        reports: Vec::new(),
-                        class_keys: Vec::new(),
-                        stats: UpdateStats::default(),
-                    },
-                    Some(v) => {
-                        let mgr = v.manager();
-                        ShardResult {
-                            seq: block.seq,
-                            shard,
-                            worker: self.worker,
-                            skipped: true,
-                            cpu: t0.elapsed(),
-                            classes: mgr.model().len(),
-                            ops: mgr.engine().op_count(),
-                            bytes: mgr.approx_bytes(),
-                            engine: mgr.engine().telemetry(),
-                            reports: Vec::new(),
-                            class_keys: if self.cfg.collect_class_keys {
-                                mgr.class_keys()
-                            } else {
-                                Vec::new()
-                            },
-                            stats: mgr.stats(),
-                        }
-                    }
-                };
-                sink(result)?;
+                sink(self.result(local, block.seq, true, t0, Vec::new()))?;
                 continue;
             }
-            if slot.is_none() {
-                *slot = Some(SubspaceVerifier::new(SubspaceVerifierConfig {
-                    topo: self.cfg.topo.clone(),
-                    actions: self.cfg.actions.clone(),
-                    layout: self.cfg.layout.clone(),
-                    subspace: self.cfg.plan.subspaces[shard],
-                    bst: self.cfg.bst,
-                    properties: self.cfg.properties.clone(),
-                    tuning: self.cfg.tuning,
-                    gc_node_threshold: flash_bdd::PredEngine::gc_threshold_from_env(
-                        flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-                    ),
-                    cache: flash_bdd::CacheConfig::from_env(),
-                }));
-            }
-            let v = slot.as_mut().expect("just built");
+            let v = self.warm(local);
             // The one real clone per update, at the applying shard.
             for &i in routed {
                 let (d, u) = &block.updates[i as usize];
@@ -569,31 +568,8 @@ impl ShardCore {
                 // completed their epoch FIBs in every subspace.
                 v.detect(&devices)
             };
-            // Publish before emitting the result: an epoch the
-            // aggregator reports complete is already queryable.
-            if let Some(hub) = &self.query_hub {
-                hub.publish(shard, v.manager_mut().publish_snapshot(block.seq));
-            }
-            let mgr = v.manager();
-            let result = ShardResult {
-                seq: block.seq,
-                shard,
-                worker: self.worker,
-                skipped: false,
-                cpu: t0.elapsed(),
-                classes: mgr.model().len(),
-                ops: mgr.engine().op_count(),
-                bytes: mgr.approx_bytes(),
-                engine: mgr.engine().telemetry(),
-                reports,
-                class_keys: if self.cfg.collect_class_keys {
-                    mgr.class_keys()
-                } else {
-                    Vec::new()
-                },
-                stats: mgr.stats(),
-            };
-            sink(result)?;
+            self.publish(local, block.seq);
+            sink(self.result(local, block.seq, false, t0, reports))?;
         }
         Ok(())
     }
@@ -604,15 +580,11 @@ impl ShardCore {
     /// `ingest_bulk` call each.
     pub fn ingest_block(&mut self, block: &UpdateBlock) {
         for local in 0..self.slots.len() {
-            let shard = self.shards[local];
-            let routed = &block.routed[shard];
+            let routed = &block.routed[self.shards[local]];
             if routed.is_empty() {
                 continue;
             }
-            if self.slots[local].is_none() {
-                self.slots[local] = Some(self.build_verifier(shard));
-            }
-            let v = self.slots[local].as_mut().expect("just built");
+            let v = self.warm(local);
             let mut run_dev: Option<DeviceId> = None;
             let mut run: Vec<RuleUpdate> = Vec::new();
             for &i in routed {
@@ -653,54 +625,16 @@ impl ShardCore {
     ) -> Result<(), OutputClosed> {
         let model_only = self.cfg.properties.is_empty();
         for local in 0..self.slots.len() {
-            let shard = self.shards[local];
             let t0 = Instant::now();
             if self.slots[local].is_none() && model_only {
                 // Never touched and nothing to verify: echo an empty
                 // skipped result so the aggregator's epoch completes.
-                sink(ShardResult {
-                    seq,
-                    shard,
-                    worker: self.worker,
-                    skipped: true,
-                    cpu: t0.elapsed(),
-                    classes: 0,
-                    ops: 0,
-                    bytes: 0,
-                    engine: EngineTelemetry::default(),
-                    reports: Vec::new(),
-                    class_keys: Vec::new(),
-                    stats: UpdateStats::default(),
-                })?;
+                sink(self.result(local, seq, true, t0, Vec::new()))?;
                 continue;
             }
-            if self.slots[local].is_none() {
-                self.slots[local] = Some(self.build_verifier(shard));
-            }
-            let v = self.slots[local].as_mut().expect("just built");
-            let reports = v.seal_bulk(devices);
-            if let Some(hub) = &self.query_hub {
-                hub.publish(shard, v.manager_mut().publish_snapshot(seq));
-            }
-            let mgr = v.manager();
-            sink(ShardResult {
-                seq,
-                shard,
-                worker: self.worker,
-                skipped: false,
-                cpu: t0.elapsed(),
-                classes: mgr.model().len(),
-                ops: mgr.engine().op_count(),
-                bytes: mgr.approx_bytes(),
-                engine: mgr.engine().telemetry(),
-                reports,
-                class_keys: if self.cfg.collect_class_keys {
-                    mgr.class_keys()
-                } else {
-                    Vec::new()
-                },
-                stats: mgr.stats(),
-            })?;
+            let reports = self.warm(local).seal_bulk(devices);
+            self.publish(local, seq);
+            sink(self.result(local, seq, false, t0, reports))?;
         }
         Ok(())
     }
@@ -1026,7 +960,6 @@ impl ShardPool {
         let pool_cfg = PoolConfig {
             workers,
             capacity: cfg.capacity,
-            backpressure: cfg.backpressure,
             restart: cfg.restart,
         };
         let worker_faults = |w: usize| WorkerFaults {
@@ -1407,7 +1340,6 @@ mod tests {
             bst: usize::MAX,
             threads,
             capacity: 64,
-            backpressure: Backpressure::Block,
             restart: RestartPolicy::default(),
             collect_class_keys: true,
             faults: None,
@@ -1473,9 +1405,10 @@ mod tests {
             layout.clone(),
             plan,
             usize::MAX,
-            4,
+            8,
         ))
         .unwrap();
+        assert_eq!(pool.worker_count(), 4, "workers are capped at the shard count");
         // One insert confined to the first quarter of the space.
         let mut at = ActionTable::new();
         let a = at.fwd(DeviceId(5));
@@ -1548,6 +1481,95 @@ mod tests {
         assert!(out.abandoned.is_empty());
         assert_eq!(out.stats[0].restarts, 1, "worker 0 was respawned");
         assert!(out.epochs.is_empty(), "no duplicate epochs after replay");
+    }
+
+    #[test]
+    fn restart_budget_exhaustion_abandons_worker_without_wedging_send() {
+        let (topo, ids, actions, layout) = triangle();
+        let plan = SubspacePlan::by_prefix_bits(&layout, FieldId(0), 1);
+        let mut cfg = pool_config(&topo, &actions, &layout, plan, 2);
+        cfg.capacity = 2;
+        cfg.restart = RestartPolicy {
+            max_restarts: 0,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            rejoin_backoff: None,
+        };
+        cfg.faults = Some(FaultPlan {
+            kill_workers: vec![KillSpec { worker: 0, after_batches: 1 }],
+            ..FaultPlan::default()
+        });
+        let mut pool = ShardPool::spawn(cfg).unwrap();
+        let m = Match::dst_prefix(&layout, 10, 8);
+        let fwd_b = flash_netmodel::ActionId(2);
+        let block = |k: i64| vec![(ids[0], RuleUpdate::insert(Rule::new(m, k, fwd_b)))];
+        // More blocks than worker 0's queue holds: none of these submits
+        // may wedge on the dying worker.
+        for k in 0..20 {
+            pool.submit(block(k));
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.worker_health(0) != WorkerHealth::Abandoned {
+            assert!(Instant::now() < deadline, "worker 0 was never abandoned");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for k in 20..40 {
+            pool.submit(block(k));
+        }
+        assert!(pool.lost_to_dead_workers() > 0);
+        let stats = pool.stats();
+        assert!(matches!(
+            stats[0].last_error,
+            Some(FlashError::RestartsExhausted { worker: 0, restarts: 0 })
+        ));
+        // Every epoch is released without the abandoned worker's shard.
+        for k in 0..40u64 {
+            let e = pool
+                .recv_epoch(Duration::from_secs(10))
+                .expect("epochs are released partially, not wedged");
+            assert_eq!(e.seq, k);
+            assert!(e.is_partial());
+            assert_eq!(e.shards.len(), 1);
+            assert_eq!(
+                e.degraded,
+                vec![DegradedShard { shard: 0, worker: 0, since_seq: 0 }]
+            );
+        }
+        let out = pool.drain(Duration::from_secs(5));
+        assert!(out.abandoned.is_empty(), "the abandoned supervisor still exits");
+        assert_eq!(out.stats[1].restarts, 0);
+    }
+
+    #[test]
+    fn full_queues_block_submit_and_drop_nothing() {
+        let (topo, ids, actions, layout) = triangle();
+        let plan = SubspacePlan::by_prefix_bits(&layout, FieldId(0), 1);
+        let mut cfg = pool_config(&topo, &actions, &layout, plan, 2);
+        cfg.capacity = 1;
+        cfg.faults = Some(FaultPlan {
+            worker_delay: Some(Duration::from_millis(5)),
+            ..FaultPlan::default()
+        });
+        let mut pool = ShardPool::spawn(cfg).unwrap();
+        let m = Match::dst_prefix(&layout, 10, 8);
+        let fwd_b = flash_netmodel::ActionId(2);
+        // Back to back into one-slot queues of slow workers: each submit
+        // waits for space instead of dropping a block.
+        for k in 0..10i64 {
+            pool.submit(vec![(ids[0], RuleUpdate::insert(Rule::new(m, k, fwd_b)))]);
+        }
+        for k in 0..10u64 {
+            let e = pool.recv_epoch(Duration::from_secs(10)).expect("epoch completes");
+            assert_eq!(e.seq, k, "epochs are released in order");
+            assert!(!e.is_partial());
+            assert_eq!(e.shards.len(), 2);
+        }
+        let out = pool.drain(Duration::from_secs(10));
+        assert!(out.epochs.is_empty());
+        for s in &out.stats {
+            assert_eq!(s.channel.enqueued, 10, "worker {} lost a block", s.worker);
+            assert!(s.channel.max_depth <= 1);
+        }
     }
 
     /// Sorted distinct class fingerprints across an epoch's shards.

@@ -1,11 +1,9 @@
 //! Worker supervision: `catch_unwind` isolation plus journal-replay
 //! recovery, generic over the work a worker performs.
 //!
-//! Both long-lived worker shapes in this crate — the live service's
-//! CE2D dispatchers ([`crate::live`]) and the shard pool's persistent
-//! subspace verifiers ([`crate::shard`]) — run under the same
-//! supervision loop, as does the process-isolated shard proxy
-//! ([`crate::proc`]). A worker implements [`SupervisedWorker`]: `build`
+//! The shard pool's persistent subspace verifiers ([`crate::shard`])
+//! run under this supervision loop, as does the process-isolated shard
+//! proxy ([`crate::proc`]). A worker implements [`SupervisedWorker`]: `build`
 //! constructs its (possibly `!Send`) processing state on the worker's
 //! own OS thread, and `process` consumes one job. When the worker
 //! panics, the supervisor (the same OS thread, one frame up) rebuilds
@@ -184,7 +182,7 @@ pub(crate) struct OutputClosed;
 ///
 /// The implementing struct itself lives *outside* the `catch_unwind`
 /// boundary and survives restarts — put emitted-set deduplication and
-/// result senders there. The per-run processing state (dispatchers,
+/// result senders there. The per-run processing state (verifiers,
 /// model managers, predicate engines — typically `!Send`) lives in
 /// [`SupervisedWorker::State`], built fresh on the worker thread after
 /// every (re)start and reconstructed deterministically by replay —
@@ -455,7 +453,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{policy_channel, Backpressure};
+    use crate::channel::policy_channel;
     use std::collections::HashSet;
     use std::sync::mpsc;
 
@@ -554,7 +552,7 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_replays_only_the_suffix() {
-        let (tx, rx) = policy_channel::<u64>(64, Backpressure::Block);
+        let (tx, rx) = policy_channel::<u64>(64);
         let (out_tx, out_rx) = mpsc::channel();
         let restores = Arc::new(AtomicU32::new(0));
         let shared = Arc::new(WorkerShared::new());
@@ -595,7 +593,7 @@ mod tests {
 
     #[test]
     fn exhausted_worker_degrades_then_rejoins() {
-        let (tx, rx) = policy_channel::<u64>(64, Backpressure::Block);
+        let (tx, rx) = policy_channel::<u64>(64);
         let (out_tx, out_rx) = mpsc::channel();
         let restores = Arc::new(AtomicU32::new(0));
         let shared = Arc::new(WorkerShared::new());

@@ -105,8 +105,9 @@ pub fn generate(ft: &FatTree, discipline: FibDiscipline, prefixes_per_tor: u32) 
     let mut actions = ActionTable::new();
     let topo = &ft.topo;
 
-    // Sub-prefix table: (owner, value, len) × prefixes_per_tor.
-    let sub_bits = 32 - (prefixes_per_tor.max(2) - 1).leading_zeros();
+    // Sub-prefix table: (owner, value, len) × prefixes_per_tor. One
+    // sub-prefix per ToR is the whole ToR block (zero extra bits).
+    let sub_bits = 32 - (prefixes_per_tor.max(1) - 1).leading_zeros();
     let mut prefixes: Vec<(DeviceId, u64, u32)> = Vec::new();
     for &(tor, value, len) in &ft.tor_prefix {
         let host_bits = ft.dst_bits - len;
@@ -256,7 +257,7 @@ where
 {
     let layout = HeaderLayout::new(&[("dst", ft.dst_bits)]);
     let topo = &ft.topo;
-    let sub_bits = 32 - (prefixes_per_tor.max(2) - 1).leading_zeros();
+    let sub_bits = 32 - (prefixes_per_tor.max(1) - 1).leading_zeros();
     let dists: Vec<Vec<u32>> = ft
         .tor_prefix
         .iter()
@@ -409,6 +410,47 @@ mod tests {
         let g1 = generate(&ft, FibDiscipline::Apsp, 1);
         let g4 = generate(&ft, FibDiscipline::Apsp, 4);
         assert_eq!(g4.total_rules(), 4 * g1.total_rules());
+    }
+
+    #[test]
+    fn sub_prefixes_tile_each_tor_block() {
+        let ft = fat_tree(4, 8);
+        let width = ft.dst_bits;
+        for n in [1, 2, 4] {
+            let g = generate(&ft, FibDiscipline::Apsp, n);
+            // Every device holds every sub-prefix of every other ToR.
+            let fib = &g.fibs[0];
+            for &(tor, value, len) in &ft.tor_prefix {
+                if tor == fib.device {
+                    continue;
+                }
+                let mut subs: Vec<(u64, u64)> = fib
+                    .rules
+                    .iter()
+                    .filter_map(|r| match *r.mat.kind(FieldId(0)) {
+                        MatchKind::Prefix { value: v, len: l }
+                            if l >= len && v >> (width - len) == value >> (width - len) =>
+                        {
+                            Some((v, 1u64 << (width - l)))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                subs.sort_unstable();
+                // Disjoint and gap-free from the block's first address
+                // to its last.
+                let mut next = value;
+                for (v, size) in subs {
+                    assert_eq!(v, next, "n={n}: gap or overlap in {tor:?}'s block");
+                    next = v + size;
+                }
+                assert_eq!(
+                    next,
+                    value + (1u64 << (width - len)),
+                    "n={n}: {tor:?}'s block"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! The supervised live pipeline under injected faults.
+//! The supervised shard pool under an injected worker crash.
 //!
 //! The Internet2 topology boots a simulated OpenR control plane with one
-//! buggy switch, and the agent message stream is fed through a seeded
-//! fault injector: messages are dropped (and retransmitted), duplicated
-//! and reordered, and one verifier worker is killed mid-run. Supervision
-//! respawns the worker and replays its journaled message history, so the
-//! service still converges to the exact verdicts of a fault-free run.
+//! buggy switch. Every agent message is submitted as one block to a
+//! two-shard pool that checks loop freedom, and worker 0 is killed after
+//! its third block. Supervision respawns the worker and replays its
+//! journaled blocks, so the pool still reports the loop and a drain
+//! joins every worker.
 //!
 //! Run with: `cargo run --release -p flash-core --example live_chaos`
 
-use flash_core::{
-    FaultPlan, KillSpec, LiveConfig, LiveMessage, LiveService, Property, PropertyReport,
-};
-use flash_imt::SubspaceSpec;
+use flash_core::{FaultPlan, KillSpec, Property, PropertyReport, ShardPool, ShardPoolConfig};
+use flash_imt::SubspacePlan;
 use flash_netmodel::{FieldId, HeaderLayout};
 use flash_routing::sim::internet2;
 use flash_routing::{OpenRSim, SimConfig};
@@ -35,17 +33,19 @@ fn main() {
         messages.len()
     );
 
-    let plan = FaultPlan {
-        seed: 7,
-        drop_prob: 0.2,
-        dup_prob: 0.2,
-        reorder_prob: 0.2,
-        kill_workers: vec![KillSpec { worker: 0, after_batches: 3 }],
+    let plan = SubspacePlan::by_prefix_bits(&layout, FieldId(0), 1);
+    let mut cfg = ShardPoolConfig::model_only(layout, plan, 1, 2);
+    cfg.topo = topo.clone();
+    cfg.actions = Arc::new(sim.actions().clone());
+    cfg.properties = vec![Property::LoopFreedom];
+    cfg.faults = Some(FaultPlan {
+        kill_workers: vec![KillSpec {
+            worker: 0,
+            after_batches: 3,
+        }],
         ..FaultPlan::default()
-    };
-    println!(
-        "== chaos plan: drop 20% / dup 20% / reorder 20%, kill worker 0 after 3 batches"
-    );
+    });
+    println!("== chaos plan: kill worker 0 after 3 blocks");
 
     // The injected kill is an ordinary panic caught by supervision; keep
     // the demo output readable by reducing it to one line (real panics
@@ -63,68 +63,52 @@ fn main() {
         }
     }));
 
-    let service = LiveService::spawn_with(
-        topo.clone(),
-        Arc::new(sim.actions().clone()),
-        layout,
-        vec![
-            SubspaceSpec { field: FieldId(0), value: 0, len: 1 },
-            SubspaceSpec { field: FieldId(0), value: 1 << 15, len: 1 },
-        ],
-        vec![Property::LoopFreedom],
-        1,
-        2,
-        LiveConfig { faults: Some(plan), ..LiveConfig::default() },
-    )
-    .expect("valid configuration");
-
-    for m in messages {
-        service.send(LiveMessage {
-            at: m.at,
-            device: m.device,
-            epoch: m.epoch,
-            updates: m.updates,
-        });
+    let mut pool = ShardPool::spawn(cfg).expect("valid configuration");
+    for m in &messages {
+        pool.submit(m.updates.iter().map(|u| (m.device, *u)).collect());
     }
 
-    let out = service.drain(Duration::from_secs(30));
-    for r in &out.reports {
-        match &r.report.report {
-            PropertyReport::LoopFound { cycle } => {
-                let names: Vec<&str> = cycle.iter().map(|d| topo.name(*d)).collect();
-                println!(
-                    "   !! worker {} (global subspace {}): consistent loop {}",
-                    r.worker,
-                    r.global_subspace(),
-                    names.join(" -> ")
-                );
+    let out = pool.drain(Duration::from_secs(30));
+    let mut loops = 0;
+    for e in &out.epochs {
+        for (shard, r) in e.reports() {
+            match r {
+                PropertyReport::LoopFound { cycle } => {
+                    loops += 1;
+                    let names: Vec<&str> = cycle.iter().map(|d| topo.name(*d)).collect();
+                    println!(
+                        "   !! block {} (shard {shard}): consistent loop {}",
+                        e.seq,
+                        names.join(" -> ")
+                    );
+                }
+                PropertyReport::LoopFreedomHolds => {
+                    println!("   ok block {} (shard {shard}): loop freedom holds", e.seq);
+                }
+                _ => {}
             }
-            PropertyReport::LoopFreedomHolds => {
-                println!(
-                    "   ok worker {} (global subspace {}): loop freedom holds",
-                    r.worker,
-                    r.global_subspace()
-                );
-            }
-            _ => {}
         }
     }
 
-    let faults = out.stats.faults.unwrap_or_default();
-    println!(
-        "\nfaults injected: {} dropped+retransmitted, {} duplicated, {} reordered",
-        faults.dropped_then_retransmitted, faults.duplicated, faults.reordered
-    );
-    for w in &out.stats.workers {
+    println!();
+    for w in &out.stats {
         println!(
             "worker {}: {} restart(s), {} batches (incl. replay), health {:?}",
             w.worker, w.restarts, w.batches, w.health
         );
         println!("         predicates: {}", w.engine.summary());
     }
-    println!("predicates (all workers): {}", out.stats.engine_totals().summary());
-    match out.ok() {
-        Ok(()) => println!("drain: clean (every worker joined before the deadline)"),
-        Err(e) => println!("drain: {e}"),
+    if out.abandoned.is_empty() {
+        println!("drain: clean (every worker joined before the deadline)");
+    } else {
+        println!("drain: abandoned workers {:?}", out.abandoned);
     }
+
+    assert!(loops > 0, "the buggy salt loop must be reported");
+    assert_eq!(
+        out.stats[0].restarts, 1,
+        "worker 0 is respawned exactly once"
+    );
+    assert_eq!(out.stats[1].restarts, 0, "worker 1 never fails");
+    assert!(out.abandoned.is_empty(), "drain must join every worker");
 }

@@ -235,7 +235,6 @@ fn pool(
         bst: usize::MAX,
         threads: 2,
         capacity: 16,
-        backpressure: flash_core::Backpressure::Block,
         restart: flash_core::RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,

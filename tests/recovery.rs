@@ -25,7 +25,7 @@
 //! failing runs leave their journals behind as artifacts.
 
 use flash_core::{
-    Backpressure, CorruptSpec, EpochJournal, EpochReport, FaultPlan, HangSpec, JournalEntry,
+    CorruptSpec, EpochJournal, EpochReport, FaultPlan, HangSpec, JournalEntry,
     JournalTail, KillSpec, Property, PropertyReport, RecoveryOptions, RestartPolicy, ShardMode,
     ShardPool, ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
 };
@@ -194,7 +194,6 @@ fn base_config(net: &Net, threads: usize) -> ShardPoolConfig {
         bst: usize::MAX,
         threads,
         capacity: 64,
-        backpressure: Backpressure::Block,
         restart: RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,

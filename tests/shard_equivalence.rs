@@ -178,7 +178,6 @@ fn run_pool_and_compare(threads: usize, tuning: ImtTuning) {
         bst: usize::MAX,
         threads,
         capacity: 16,
-        backpressure: flash_core::Backpressure::Block,
         restart: flash_core::RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,

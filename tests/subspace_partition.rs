@@ -1,12 +1,13 @@
 //! Subspace partitioning correctness: the per-pod subspace models must
 //! jointly equal the whole-space model — same behaviours inside every
-//! subspace, full coverage, and consistent results from the parallel
-//! runner.
+//! subspace, full coverage, and consistent results from the threaded
+//! shard pool.
 
-use flash_core::parallel_model_construction;
+use flash_core::{ShardPool, ShardPoolConfig};
 use flash_imt::{ModelManager, ModelManagerConfig, SubspacePlan, SubspaceSpec};
 use flash_netmodel::FieldId;
 use flash_workloads::{fat_tree, fibgen, updates};
+use std::time::Duration;
 
 #[test]
 fn subspace_models_agree_with_whole_space_model() {
@@ -119,7 +120,19 @@ fn parallel_runner_consistent_with_sequential_subspaces() {
     let pods: Vec<(u64, u32)> = (0..4).map(|p| ft.pod_prefix(p)).collect();
     let plan = SubspacePlan::by_prefixes(FieldId(0), &pods);
 
-    let par = parallel_model_construction(&plan, &fibs.layout, &seq, usize::MAX, 4);
+    let mut pool = ShardPool::spawn(ShardPoolConfig::model_only(
+        fibs.layout.clone(),
+        plan,
+        usize::MAX,
+        4,
+    ))
+    .expect("model-only config is valid");
+    pool.submit(seq.clone());
+    let par = pool
+        .drain(Duration::from_secs(60))
+        .epochs
+        .pop()
+        .expect("the one block completes");
     // Sequential per-subspace construction for comparison.
     let mut seq_classes = Vec::new();
     for &(value, len) in &pods {
@@ -138,6 +151,6 @@ fn parallel_runner_consistent_with_sequential_subspaces() {
         m.flush();
         seq_classes.push(m.model().len());
     }
-    let par_classes: Vec<usize> = par.per_subspace.iter().map(|s| s.classes).collect();
+    let par_classes: Vec<usize> = par.shards.iter().map(|s| s.classes).collect();
     assert_eq!(par_classes, seq_classes);
 }
