@@ -22,7 +22,8 @@
 //! model manager's map / reduce / apply share of it
 //! (`ModelManager::timings()`; on the snapshot path all three run inside
 //! the seal, whose remainder — detection — is `seal_other_ms`) and
-//! end-to-end rules/s either way.
+//! end-to-end rules/s either way, plus the loop verifier's `searches`
+//! and `visited_nodes` counters.
 //!
 //! Defaults are the ISSUE acceptance scale: `--k 16 --prefixes 32`
 //! (320 devices, ~1.3M rules). CI's non-gating `scale-smoke` lane runs
@@ -290,6 +291,7 @@ fn run_verify(
     }
     let verify_ms = t2.elapsed().as_secs_f64() * 1e3;
 
+    let loops = verifier.loop_stats().unwrap_or_default();
     let mgr = verifier.manager();
     let stats = mgr.stats();
     let timings = mgr.timings();
@@ -340,6 +342,8 @@ fn run_verify(
             ("compact_overwrites", stats.compact_overwrites as f64),
             ("classes_probed", stats.classes_probed as f64),
             ("and_misses", stats.and_misses as f64),
+            ("loop_searches", loops.searches as f64),
+            ("loop_visited_nodes", loops.visited_nodes as f64),
             ("block_p50_ms", per_block_ms.percentile(50.0)),
             ("block_p90_ms", per_block_ms.percentile(90.0)),
             ("block_p99_ms", per_block_ms.percentile(99.0)),

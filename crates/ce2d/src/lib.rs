@@ -28,7 +28,7 @@ pub mod vector_proto;
 
 pub use decremental::DecrementalReach;
 pub use epoch::{EpochEvent, EpochTag, EpochTracker};
-pub use loopdet::{LoopVerdict, LoopVerifier};
+pub use loopdet::{LoopVerdict, LoopVerifier, LoopVerifierStats};
 pub use mt::ModelTraversal;
 pub use product::ProductGraph;
 pub use regex_verify::{RegexVerifier, Verdict};

@@ -6,19 +6,26 @@
 //! epoch. The verifier therefore reports a loop as soon as one closes
 //! inside the synchronized subset.
 //!
-//! Two techniques keep this cheap:
+//! **Incremental detection** keeps this cheap: if the previous state had
+//! no unreported loop, a new deterministic loop must pass through a newly
+//! synchronized device, so the search starts only from those. Each search
+//! is a three-colour depth-first search over the forwarding graph
+//! restricted to synchronized internal devices, so one call costs
+//! O(V + E) per group of equivalence classes rather than one walk per
+//! simple path.
 //!
-//! * **Hyper-node compression** — every connected component of
-//!   unsynchronized devices collapses into one hyper node that can
-//!   forward anywhere its members could, avoiding path enumeration inside
-//!   the component (Figure 5);
-//! * **Incremental detection** — if the previous state had no loop, a new
-//!   deterministic loop must pass through a newly synchronized device, so
-//!   the search starts only from those.
+//! The paper's hyper-node compression (Figure 5) collapses each connected
+//! component of unsynchronized devices into one node. It is needed only
+//! for an *early* `NoLoop`: proving a partial state loop free before every
+//! device has reported. This verifier says `NoLoop` only once every
+//! internal device is synchronized, when no unsynchronized component is
+//! left to compress, and a deterministic loop contains no hyper node by
+//! definition. Compression would decide none of its verdicts, so the
+//! search never leaves the synchronized devices.
 
 use flash_bdd::{Pred, PredEngine};
-use flash_imt::{InverseModel, PatStore};
-use flash_netmodel::{ActionTable, DeviceId, Topology};
+use flash_imt::{InverseModel, PatId, PatStore};
+use flash_netmodel::{ActionId, ActionTable, DeviceId, Topology};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -38,20 +45,19 @@ pub enum LoopVerdict {
     Unknown,
 }
 
-/// A node in the compressed (hyper) graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum HyperNode {
-    /// A synchronized device.
-    Sync(DeviceId),
-    /// A compressed component of unsynchronized devices (by component id).
-    Hyper(u32),
-}
+/// Search colours: unvisited, on the DFS stack, finished.
+const WHITE: u8 = 0;
+const GREY: u8 = 1;
+const BLACK: u8 = 2;
 
 /// Consistent partial loop detector for one model.
 pub struct LoopVerifier {
     topo: Arc<Topology>,
     actions: Arc<ActionTable>,
-    sync: HashSet<DeviceId>,
+    /// Device-indexed: has the device completed its epoch FIB?
+    sync: Vec<bool>,
+    /// Internal devices not yet synchronized.
+    unsynced_internal: usize,
     /// Deterministic loops already reported (avoid duplicates).
     reported: HashSet<Vec<DeviceId>>,
     pub stats: LoopVerifierStats,
@@ -59,116 +65,36 @@ pub struct LoopVerifier {
 
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoopVerifierStats {
+    /// Depth-first searches run (one per uncoloured start per group).
     pub searches: u64,
+    /// Devices coloured by those searches; each costs one PAT lookup.
     pub visited_nodes: u64,
 }
 
 impl LoopVerifier {
     pub fn new(topo: Arc<Topology>, actions: Arc<ActionTable>) -> Self {
+        let unsynced_internal = topo.devices().filter(|&d| !topo.is_external(d)).count();
         LoopVerifier {
+            sync: vec![false; topo.device_count()],
+            unsynced_internal,
             topo,
             actions,
-            sync: HashSet::new(),
             reported: HashSet::new(),
             stats: LoopVerifierStats::default(),
         }
     }
 
-    pub fn synchronized(&self) -> &HashSet<DeviceId> {
-        &self.sync
-    }
-
-    /// Builds the unsynchronized-component map: device → component id, and
-    /// whether each component contains an internal directed cycle.
-    fn build_components(&self) -> (HashMap<DeviceId, u32>, Vec<bool>) {
-        let mut comp: HashMap<DeviceId, u32> = HashMap::new();
-        let mut has_cycle: Vec<bool> = Vec::new();
-        for dev in self.topo.devices() {
-            if self.sync.contains(&dev) || self.topo.is_external(dev) || comp.contains_key(&dev) {
-                continue;
-            }
-            let cid = has_cycle.len() as u32;
-            // Undirected flood over unsynchronized internal devices.
-            let mut members = Vec::new();
-            let mut stack = vec![dev];
-            comp.insert(dev, cid);
-            while let Some(u) = stack.pop() {
-                members.push(u);
-                let neigh = self
-                    .topo
-                    .successors(u)
-                    .iter()
-                    .chain(self.topo.predecessors(u).iter());
-                for &v in neigh {
-                    if !self.sync.contains(&v)
-                        && !self.topo.is_external(v)
-                        && !comp.contains_key(&v)
-                    {
-                        comp.insert(v, cid);
-                        stack.push(v);
-                    }
-                }
-            }
-            // Internal directed cycle? (the paper's `is_biconnected` test —
-            // a component that can loop within itself.)
-            has_cycle.push(component_has_directed_cycle(&self.topo, &members));
-        }
-        (comp, has_cycle)
-    }
-
-    /// Successors of a hyper-graph node under one EC's forwarding.
-    fn hyper_successors(
-        &self,
-        node: HyperNode,
-        comp: &HashMap<DeviceId, u32>,
-        pat: &PatStore,
-        vector: flash_imt::PatId,
-        members_of: &HashMap<u32, Vec<DeviceId>>,
-    ) -> Vec<HyperNode> {
-        let mut out = Vec::new();
-        let push = |n: HyperNode, out: &mut Vec<HyperNode>| {
-            if !out.contains(&n) {
-                out.push(n);
-            }
-        };
-        match node {
-            HyperNode::Sync(dev) => {
-                let act = pat.get(vector, dev);
-                for &nh in self.actions.next_hops(act) {
-                    if self.topo.is_external(nh) {
-                        continue; // leaves the network: no loop this way
-                    }
-                    if let Some(&c) = comp.get(&nh) {
-                        push(HyperNode::Hyper(c), &mut out);
-                    } else if self.sync.contains(&nh) {
-                        push(HyperNode::Sync(nh), &mut out);
-                    }
-                }
-            }
-            HyperNode::Hyper(cid) => {
-                // A hyper node may forward to any topology successor of
-                // any member outside the component.
-                for &m in members_of.get(&cid).map(|v| v.as_slice()).unwrap_or(&[]) {
-                    for &nh in self.topo.successors(m) {
-                        if self.topo.is_external(nh) {
-                            continue;
-                        }
-                        if let Some(&c) = comp.get(&nh) {
-                            if c != cid {
-                                push(HyperNode::Hyper(c), &mut out);
-                            }
-                        } else if self.sync.contains(&nh) {
-                            push(HyperNode::Sync(nh), &mut out);
-                        }
-                    }
-                }
-            }
-        }
-        out
+    /// The synchronized devices, in id order.
+    pub fn synchronized(&self) -> impl Iterator<Item = DeviceId> + '_ {
+        (0..self.sync.len() as u32)
+            .map(DeviceId)
+            .filter(|d| self.sync[d.index()])
     }
 
     /// Processes a model update: `newly_synced` devices just completed
-    /// their epoch FIBs. Returns the strongest consistent verdict.
+    /// their epoch FIBs. Returns the strongest consistent verdict; a call
+    /// reports at most one new loop, so callers repeat it with the same
+    /// `newly_synced` while it returns `LoopFound`.
     pub fn on_model_update(
         &mut self,
         engine: &mut PredEngine,
@@ -177,61 +103,42 @@ impl LoopVerifier {
         newly_synced: &[DeviceId],
     ) -> LoopVerdict {
         for &d in newly_synced {
-            self.sync.insert(d);
+            if !self.sync[d.index()] && !self.topo.is_external(d) {
+                self.unsynced_internal -= 1;
+            }
+            self.sync[d.index()] = true;
         }
-        let (comp, comp_cycle) = self.build_components();
-        let mut members_of: HashMap<u32, Vec<DeviceId>> = HashMap::new();
-        for (&d, &c) in &comp {
-            members_of.entry(c).or_default().push(d);
-        }
+        let starts: Vec<DeviceId> = newly_synced
+            .iter()
+            .copied()
+            .filter(|&d| !self.topo.is_external(d))
+            .collect();
 
-        let mut potential = false;
-        // Hyper components that can loop internally are potential loops.
-        if comp_cycle.iter().any(|&c| c) {
-            potential = true;
-        }
-
-        // The search only reads an EC's action vector at *synchronized*
-        // devices, so ECs whose vectors project identically onto the
-        // synchronized set traverse the hyper graph identically. Group
-        // them and run one DFS per group; a found loop's ec_pred is the
-        // batched union of the whole group.
-        let mut synced_devs: Vec<DeviceId> = self.sync.iter().copied().collect();
-        synced_devs.sort_unstable();
-        let mut group_index: HashMap<Vec<flash_netmodel::ActionId>, usize> = HashMap::new();
-        let mut groups: Vec<(flash_imt::PatId, Vec<&Pred>)> = Vec::new();
-        for entry in model.entries() {
-            let key: Vec<flash_netmodel::ActionId> =
-                synced_devs.iter().map(|&d| pat.get(entry.vector, d)).collect();
-            match group_index.get(&key) {
-                Some(&i) => groups[i].1.push(&entry.pred),
-                None => {
-                    group_index.insert(key, groups.len());
-                    groups.push((entry.vector, vec![&entry.pred]));
+        if !starts.is_empty() {
+            // The search only reads an EC's action vector at synchronized
+            // devices, so ECs whose vectors project identically onto the
+            // synchronized set traverse the same graph. Group them and run
+            // one search per group; a found loop's ec_pred is the batched
+            // union of the whole group.
+            let synced_devs: Vec<DeviceId> = self.synchronized().collect();
+            let mut group_index: HashMap<Vec<ActionId>, usize> = HashMap::new();
+            let mut groups: Vec<(PatId, Vec<&Pred>)> = Vec::new();
+            for entry in model.entries() {
+                let key: Vec<ActionId> =
+                    synced_devs.iter().map(|&d| pat.get(entry.vector, d)).collect();
+                match group_index.get(&key) {
+                    Some(&i) => groups[i].1.push(&entry.pred),
+                    None => {
+                        group_index.insert(key, groups.len());
+                        groups.push((entry.vector, vec![&entry.pred]));
+                    }
                 }
             }
-        }
 
-        for (vector, preds) in groups {
-            // Incremental: a new deterministic loop must pass through a
-            // newly synchronized device.
-            for &start in newly_synced {
-                if self.topo.is_external(start) {
-                    continue;
-                }
-                self.stats.searches += 1;
-                let mut path: Vec<HyperNode> = Vec::new();
-                let mut on_path: HashSet<HyperNode> = HashSet::new();
-                if let Some(cycle) = self.dfs(
-                    HyperNode::Sync(start),
-                    &mut path,
-                    &mut on_path,
-                    &comp,
-                    &members_of,
-                    pat,
-                    vector,
-                    &mut potential,
-                ) {
+            let mut colour = vec![WHITE; self.sync.len()];
+            for (vector, preds) in groups {
+                colour.fill(WHITE);
+                if let Some(cycle) = self.search(pat, vector, &starts, &mut colour) {
                     let ec_pred = if preds.len() == 1 {
                         preds[0].clone()
                     } else {
@@ -243,116 +150,71 @@ impl LoopVerifier {
         }
 
         // `NoLoop` is only a consistent verdict when every device is
-        // synchronized, no potential loop remains, AND no loop was ever
-        // found (a previously reported loop persists: synchronized FIBs
-        // do not change within the epoch).
-        if self.reported.is_empty() && !potential && self.all_synchronized() {
+        // synchronized AND no loop was ever found (a previously reported
+        // loop persists: synchronized FIBs do not change within the epoch).
+        if self.reported.is_empty() && self.unsynced_internal == 0 {
             LoopVerdict::NoLoop
         } else {
             LoopVerdict::Unknown
         }
     }
 
-    fn all_synchronized(&self) -> bool {
-        self.topo
-            .devices()
-            .filter(|&d| !self.topo.is_external(d))
-            .all(|d| self.sync.contains(&d))
-    }
-
-    /// Returns the device cycle of a newly found deterministic loop.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
+    /// One iterative three-colour DFS over the synchronized devices under
+    /// `vector`, seeded at every uncoloured start. A back edge to a grey
+    /// device closes a cycle: the stack segment from that device. Returns
+    /// the first such cycle not reported before.
+    fn search(
         &mut self,
-        node: HyperNode,
-        path: &mut Vec<HyperNode>,
-        on_path: &mut HashSet<HyperNode>,
-        comp: &HashMap<DeviceId, u32>,
-        members_of: &HashMap<u32, Vec<DeviceId>>,
         pat: &PatStore,
-        vector: flash_imt::PatId,
-        potential: &mut bool,
+        vector: PatId,
+        starts: &[DeviceId],
+        colour: &mut [u8],
     ) -> Option<Vec<DeviceId>> {
-        self.stats.visited_nodes += 1;
-        if on_path.contains(&node) {
-            // A cycle closed: it is the path segment from the first
-            // occurrence of `node`. Deterministic iff every node on the
-            // segment is a synchronized device (no hyper node).
-            let pos = path.iter().position(|&n| n == node).unwrap();
-            let segment = &path[pos..];
-            if segment.iter().all(|n| matches!(n, HyperNode::Sync(_))) {
-                let cycle: Vec<DeviceId> = segment
-                    .iter()
-                    .map(|n| match n {
-                        HyperNode::Sync(d) => *d,
-                        HyperNode::Hyper(_) => unreachable!(),
-                    })
-                    .collect();
-                let mut canon = cycle.clone();
-                canon.sort_unstable();
-                if self.reported.insert(canon) {
-                    return Some(cycle);
+        // (device, its action under `vector`, next-hop cursor)
+        let mut stack: Vec<(DeviceId, ActionId, usize)> = Vec::new();
+        for &start in starts {
+            if colour[start.index()] != WHITE {
+                continue;
+            }
+            self.stats.searches += 1;
+            self.stats.visited_nodes += 1;
+            colour[start.index()] = GREY;
+            stack.push((start, pat.get(vector, start), 0));
+            while let Some(top) = stack.last_mut() {
+                let (u, act, cursor) = *top;
+                let Some(&v) = self.actions.next_hops(act).get(cursor) else {
+                    colour[u.index()] = BLACK;
+                    stack.pop();
+                    continue;
+                };
+                top.2 += 1;
+                if !self.sync[v.index()] || self.topo.is_external(v) {
+                    continue; // leaves the synchronized subgraph
                 }
-            } else {
-                // The cycle passes through a hyper node: only potential.
-                *potential = true;
+                match colour[v.index()] {
+                    WHITE => {
+                        self.stats.visited_nodes += 1;
+                        colour[v.index()] = GREY;
+                        stack.push((v, pat.get(vector, v), 0));
+                    }
+                    GREY => {
+                        let pos = stack
+                            .iter()
+                            .position(|f| f.0 == v)
+                            .expect("a grey device is on the stack");
+                        let cycle: Vec<DeviceId> = stack[pos..].iter().map(|f| f.0).collect();
+                        let mut canon = cycle.clone();
+                        canon.sort_unstable();
+                        if self.reported.insert(canon) {
+                            return Some(cycle);
+                        }
+                    }
+                    _ => {} // finished: its paths back to the stack were followed
+                }
             }
-            return None;
         }
-        path.push(node);
-        on_path.insert(node);
-        let succ = self.hyper_successors(node, comp, pat, vector, members_of);
-        for next in succ {
-            if let Some(v) = self.dfs(
-                next, path, on_path, comp, members_of, pat, vector, potential,
-            ) {
-                path.pop();
-                on_path.remove(&node);
-                return Some(v);
-            }
-        }
-        path.pop();
-        on_path.remove(&node);
         None
     }
-}
-
-/// Does the directed subgraph induced by `members` contain a cycle?
-fn component_has_directed_cycle(topo: &Topology, members: &[DeviceId]) -> bool {
-    let set: HashSet<DeviceId> = members.iter().copied().collect();
-    let mut color: HashMap<DeviceId, u8> = HashMap::new(); // 1=gray, 2=black
-    for &start in members {
-        if color.contains_key(&start) {
-            continue;
-        }
-        // Iterative DFS with gray/black coloring.
-        let mut stack = vec![(start, 0usize)];
-        color.insert(start, 1);
-        while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
-            let succs: Vec<DeviceId> = topo
-                .successors(u)
-                .iter()
-                .copied()
-                .filter(|v| set.contains(v))
-                .collect();
-            if *idx < succs.len() {
-                let v = succs[*idx];
-                *idx += 1;
-                match color.get(&v) {
-                    Some(1) => return true, // back edge
-                    Some(_) => {}
-                    None => {
-                        color.insert(v, 1);
-                        stack.push((v, 0));
-                    }
-                }
-            } else {
-                color.insert(u, 2);
-                stack.pop();
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -411,17 +273,17 @@ mod tests {
 
     #[test]
     fn figure5a_unknown_when_two_unsynchronized() {
-        // sync = {A, B}: C and X compress to one hyper node; a loop is
-        // possible (B→A→X→B) but not determined.
+        // sync = {A, B}: C and X are silent; a loop is possible
+        // (B→A→X→B) but not determined.
         let (topo, m) = fig5();
         let mut r = rig(&topo);
         assert_eq!(sync(&mut r, m["B"], m["A"]), LoopVerdict::Unknown);
         let v = sync(&mut r, m["A"], m["X"]);
-        assert_eq!(v, LoopVerdict::Unknown, "hyper node keeps it undecided");
+        assert_eq!(v, LoopVerdict::Unknown, "unsynchronized X keeps it undecided");
     }
 
     #[test]
-    fn figure5b_loop_via_unsynchronized_is_potential_then_confirmed() {
+    fn figure5b_loop_via_unsynchronized_is_unknown_then_confirmed() {
         // B→A, A→X with X unsynchronized stays Unknown; once X→B arrives
         // the synchronized cycle B→A→X→B is deterministic.
         let (topo, m) = fig5();
@@ -501,12 +363,44 @@ mod tests {
     }
 
     #[test]
-    fn component_cycle_detection() {
-        let (topo, m) = fig5();
-        assert!(component_has_directed_cycle(
-            &topo,
-            &[m["A"], m["B"], m["C"], m["X"]]
-        ));
-        assert!(!component_has_directed_cycle(&topo, &[m["A"]]));
+    fn shared_colouring_visits_each_device_once_per_group() {
+        // A ladder of ECMP diamonds: s → {a_i, b_i} → j_i → ... → sink has
+        // 2^n simple paths but 3n + 1 devices; with a closed set one search
+        // colours each device once.
+        let n = 12;
+        let mut t = Topology::new();
+        let s = t.add_device("s");
+        let sink = t.add_external("sink");
+        let mut tiers = vec![s];
+        let mut prev = s;
+        for i in 0..n {
+            let a = t.add_device(format!("a{i}"));
+            let b = t.add_device(format!("b{i}"));
+            let j = t.add_device(format!("j{i}"));
+            for x in [a, b] {
+                t.add_link(prev, x);
+                t.add_link(x, j);
+            }
+            tiers.extend([a, b, j]);
+            prev = j;
+        }
+        t.add_link(prev, sink);
+        let topo = Arc::new(t);
+        let layout = HeaderLayout::new(&[("dst", 8)]);
+        let mut mgr = ModelManager::new(ModelManagerConfig::whole_space(layout.clone()));
+        let mut at = ActionTable::new();
+        let m = Match::dst_prefix(&layout, 0x10, 8);
+        for &d in &tiers {
+            let act = at.ecmp(topo.successors(d).to_vec());
+            mgr.submit(d, [RuleUpdate::insert(Rule::new(m, 1, act))]);
+        }
+        mgr.flush();
+        let mut verifier = LoopVerifier::new(topo.clone(), Arc::new(at));
+        let (engine, pat, model) = mgr.parts_mut();
+        let groups = model.len() as u64;
+        let v = verifier.on_model_update(engine, pat, model, &tiers);
+        assert_eq!(v, LoopVerdict::NoLoop);
+        let visited = verifier.stats.visited_nodes;
+        assert!(visited <= groups * tiers.len() as u64, "visited {visited} devices");
     }
 }

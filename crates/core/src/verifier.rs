@@ -2,7 +2,7 @@
 //! the properties the operator registered (Figure 1, left box).
 
 use crate::error::FlashError;
-use flash_ce2d::{LoopVerdict, LoopVerifier, RegexVerifier, Verdict};
+use flash_ce2d::{LoopVerdict, LoopVerifier, LoopVerifierStats, RegexVerifier, Verdict};
 use flash_imt::{ImtTuning, ModelManager, ModelManagerConfig, SubspaceSpec};
 use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, RuleUpdate, Topology};
 use flash_spec::Requirement;
@@ -188,20 +188,25 @@ impl SubspaceVerifier {
     pub fn detect(&mut self, newly_synced: &[DeviceId]) -> Vec<PropertyReport> {
         let mut out = Vec::new();
         if let Some(lv) = &mut self.loop_verifier {
-            let (engine, pat, model) = self.mgr.parts_mut();
-            match lv.on_model_update(engine, pat, model, newly_synced) {
-                LoopVerdict::LoopFound { cycle, .. } => {
-                    let key = format!("loop:{cycle:?}");
-                    if self.emitted.insert(key) {
-                        out.push(PropertyReport::LoopFound { cycle });
+            // One call reports at most one new loop; repeat until none is
+            // left so that loops closing together are all reported.
+            loop {
+                let (engine, pat, model) = self.mgr.parts_mut();
+                match lv.on_model_update(engine, pat, model, newly_synced) {
+                    LoopVerdict::LoopFound { cycle, .. } => {
+                        let key = format!("loop:{cycle:?}");
+                        if self.emitted.insert(key) {
+                            out.push(PropertyReport::LoopFound { cycle });
+                        }
                     }
-                }
-                LoopVerdict::NoLoop => {
-                    if self.emitted.insert("noloop".into()) {
-                        out.push(PropertyReport::LoopFreedomHolds);
+                    LoopVerdict::NoLoop => {
+                        if self.emitted.insert("noloop".into()) {
+                            out.push(PropertyReport::LoopFreedomHolds);
+                        }
+                        break;
                     }
+                    LoopVerdict::Unknown => break,
                 }
-                LoopVerdict::Unknown => {}
             }
         }
         for rv in &mut self.regex_verifiers {
@@ -228,8 +233,13 @@ impl SubspaceVerifier {
     pub fn synchronized_count(&self) -> usize {
         self.loop_verifier
             .as_ref()
-            .map(|l| l.synchronized().len())
+            .map(|l| l.synchronized().count())
             .unwrap_or(0)
+    }
+
+    /// The loop verifier's search counters, if loop freedom is checked.
+    pub fn loop_stats(&self) -> Option<LoopVerifierStats> {
+        self.loop_verifier.as_ref().map(|l| l.stats)
     }
 
     /// The synchronized-device union across all property verifiers,
@@ -238,7 +248,7 @@ impl SubspaceVerifier {
     pub fn synchronized_devices(&self) -> Vec<DeviceId> {
         let mut set = std::collections::HashSet::new();
         if let Some(lv) = &self.loop_verifier {
-            set.extend(lv.synchronized().iter().copied());
+            set.extend(lv.synchronized());
         }
         for rv in &self.regex_verifiers {
             set.extend(rv.synchronized().iter().copied());
@@ -393,6 +403,37 @@ mod tests {
         let r = v.seal_bulk(&[ids[0], ids[1]]);
         assert!(matches!(r[0], PropertyReport::LoopFound { .. }), "{r:?}");
         assert!(v.seal_bulk(&[ids[2]]).iter().all(|p| !matches!(p, PropertyReport::LoopFound { .. })));
+    }
+
+    #[test]
+    fn seal_reports_every_loop_closed_together() {
+        // x0↔x1 and x2↔x3 close in one seal: both loops are reported.
+        let mut t = Topology::new();
+        let x: Vec<DeviceId> = (0..4).map(|i| t.add_device(format!("x{i}"))).collect();
+        t.add_bilink(x[0], x[1]);
+        t.add_bilink(x[2], x[3]);
+        let mut at = ActionTable::new();
+        let fwd: Vec<_> = x.iter().map(|&d| at.fwd(d)).collect();
+        let (topo, actions, layout) = (Arc::new(t), Arc::new(at), HeaderLayout::dst_only());
+        let mut v = SubspaceVerifier::new(config(&topo, &actions, &layout, vec![Property::LoopFreedom]));
+        let m = Match::dst_prefix(&layout, 10, 8);
+        for (dev, next) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+            v.ingest_bulk(x[dev], vec![RuleUpdate::insert(Rule::new(m, 1, fwd[next]))]);
+        }
+        let mut loops: Vec<Vec<DeviceId>> = v
+            .seal_bulk(&x)
+            .into_iter()
+            .map(|r| match r {
+                PropertyReport::LoopFound { mut cycle } => {
+                    cycle.sort_unstable();
+                    cycle
+                }
+                other => panic!("unexpected report {other:?}"),
+            })
+            .collect();
+        loops.sort_unstable();
+        assert_eq!(loops, vec![vec![x[0], x[1]], vec![x[2], x[3]]]);
+        assert!(v.detect(&[]).is_empty());
     }
 
     #[test]

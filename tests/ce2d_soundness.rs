@@ -12,17 +12,23 @@
 //! On small topologies we can literally enumerate all completions (each
 //! unsynchronized device picks any neighbor or drop) and check the
 //! early-detection verdict against ground truth.
+//!
+//! Soundness alone is met by a verifier that never reports, so the loop
+//! checks also test **completeness** against an oracle that walks the
+//! synchronized devices' choices (unsynchronized devices count as drop):
+//! every loop among them must be reported.
 
 #![cfg(feature = "proptest")]
 
 use flash_ce2d::{LoopVerdict, LoopVerifier, RegexVerifier, Verdict};
-use flash_imt::{ModelManager, ModelManagerConfig};
+use flash_core::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
+use flash_imt::{ImtTuning, ModelManager, ModelManagerConfig, SubspaceSpec};
 use flash_netmodel::{
     ActionTable, DeviceId, HeaderLayout, Match, Rule, RuleUpdate, Topology,
 };
 use flash_spec::{parse_path_expr, Requirement};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 const N: u32 = 4; // internal devices; completions ≤ (N+1)^N = 625
@@ -62,6 +68,33 @@ fn has_loop(choices: &[Choice]) -> bool {
         }
     }
     false
+}
+
+/// The forwarding loops of `choices`, each as its sorted device indices.
+fn loops_of(choices: &[Choice]) -> BTreeSet<Vec<usize>> {
+    let mut out = BTreeSet::new();
+    for start in 0..choices.len() {
+        let mut path = vec![start];
+        while let Some(next) = choices[*path.last().unwrap()] {
+            let next = next.0 as usize;
+            if next >= choices.len() {
+                break; // exit to the external sink
+            }
+            if let Some(pos) = path.iter().position(|&d| d == next) {
+                let mut cycle = path[pos..].to_vec();
+                cycle.sort_unstable();
+                out.insert(cycle);
+                break;
+            }
+            path.push(next);
+        }
+    }
+    out
+}
+
+/// The synchronized devices' choices alone; unsynchronized devices drop.
+fn synchronized_only(partial: &[Option<Choice>]) -> Vec<Choice> {
+    partial.iter().map(|p| p.flatten()).collect()
 }
 
 /// Does `choices` give a path from `src` to the external sink while the
@@ -106,43 +139,94 @@ fn completions(
     out
 }
 
-/// Builds the verifier state for a partial assignment and returns the
-/// loop verdict.
-fn run_loop_verifier(
-    topo: &Arc<Topology>,
-    devs: &[DeviceId],
-    sink: DeviceId,
-    partial: &[Option<Choice>],
-) -> LoopVerdict {
-    let layout = HeaderLayout::new(&[("dst", 4)]);
+/// The action table every verifier here shares: one unicast forward per
+/// device (external sink included).
+fn unicast_actions(topo: &Topology) -> Arc<ActionTable> {
     let mut at = ActionTable::new();
     for d in topo.devices() {
         at.fwd(d);
     }
-    let at = Arc::new(at);
+    Arc::new(at)
+}
+
+/// The one-rule FIB of a synchronized device.
+fn choice_rule(layout: &HeaderLayout, at: &ActionTable, choice: Choice) -> Rule {
+    let action = match choice {
+        None => flash_netmodel::ACTION_DROP,
+        Some(nh) => at.lookup(&flash_netmodel::Action::fwd(nh)).unwrap(),
+    };
+    Rule::new(Match::any(layout), 1, action)
+}
+
+/// Builds the verifier state for a partial assignment, one device per
+/// call, and returns the strongest loop verdict and whether any call
+/// returned `LoopFound`.
+fn run_loop_verifier(
+    topo: &Arc<Topology>,
+    devs: &[DeviceId],
+    partial: &[Option<Choice>],
+) -> (LoopVerdict, bool) {
+    let layout = HeaderLayout::new(&[("dst", 4)]);
+    let at = unicast_actions(topo);
     let mut mgr = ModelManager::new(ModelManagerConfig::whole_space(layout.clone()));
     let mut verifier = LoopVerifier::new(topo.clone(), at.clone());
     let mut verdict = LoopVerdict::Unknown;
+    let mut ever_loop = false;
     for (i, p) in partial.iter().enumerate() {
         let Some(choice) = p else { continue };
-        let rule = match choice {
-            None => Rule::new(Match::any(&layout), 1, flash_netmodel::ACTION_DROP),
-            Some(nh) => {
-                let mut t2 = (*at).clone();
-                let a = t2.fwd(*nh);
-                Rule::new(Match::any(&layout), 1, a)
-            }
-        };
-        mgr.submit(devs[i], [RuleUpdate::insert(rule)]);
+        mgr.submit(devs[i], [RuleUpdate::insert(choice_rule(&layout, &at, *choice))]);
         mgr.flush();
         let (engine, pat, model) = mgr.parts_mut();
         let v = verifier.on_model_update(engine, pat, model, &[devs[i]]);
+        ever_loop |= matches!(v, LoopVerdict::LoopFound { .. });
         if matches!(v, LoopVerdict::LoopFound { .. }) || v == LoopVerdict::NoLoop {
             verdict = v;
         }
     }
-    let _ = sink;
-    verdict
+    (verdict, ever_loop)
+}
+
+/// Seals every synchronized device's FIB at once through a
+/// `SubspaceVerifier` and returns the reported loops (sorted device
+/// indices) and whether loop freedom was reported.
+fn seal_loop_reports(
+    topo: &Arc<Topology>,
+    devs: &[DeviceId],
+    partial: &[Option<Choice>],
+) -> (BTreeSet<Vec<usize>>, bool) {
+    let layout = HeaderLayout::new(&[("dst", 4)]);
+    let at = unicast_actions(topo);
+    let mut v = SubspaceVerifier::new(SubspaceVerifierConfig {
+        topo: topo.clone(),
+        actions: at.clone(),
+        layout: layout.clone(),
+        subspace: SubspaceSpec::whole(),
+        bst: 1,
+        properties: vec![Property::LoopFreedom],
+        tuning: ImtTuning::default(),
+        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
+        cache: flash_bdd::CacheConfig::default(),
+    });
+    let mut synced = Vec::new();
+    for (i, p) in partial.iter().enumerate() {
+        let Some(choice) = p else { continue };
+        v.ingest_bulk(devs[i], vec![RuleUpdate::insert(choice_rule(&layout, &at, *choice))]);
+        synced.push(devs[i]);
+    }
+    let mut loops = BTreeSet::new();
+    let mut holds = false;
+    for report in v.seal_bulk(&synced) {
+        match report {
+            PropertyReport::LoopFound { cycle } => {
+                let mut cycle: Vec<usize> = cycle.iter().map(|d| d.index()).collect();
+                cycle.sort_unstable();
+                assert!(loops.insert(cycle), "a loop was reported twice");
+            }
+            PropertyReport::LoopFreedomHolds => holds = true,
+            other => panic!("unexpected report {other:?}"),
+        }
+    }
+    (loops, holds)
 }
 
 fn arb_partial() -> impl Strategy<Value = Vec<Option<Option<u32>>>> {
@@ -162,7 +246,7 @@ fn arb_partial() -> impl Strategy<Value = Vec<Option<Option<u32>>>> {
 /// assignments, the verifier must produce all three verdict kinds.
 #[test]
 fn verdicts_are_not_vacuously_unknown() {
-    let (topo, devs, sink) = mesh();
+    let (topo, devs, _) = mesh();
     let mut found_loop = 0;
     let mut no_loop = 0;
     let mut unknown = 0;
@@ -183,7 +267,7 @@ fn verdicts_are_not_vacuously_unknown() {
                 })),
             });
         }
-        match run_loop_verifier(&topo, &devs, sink, &partial) {
+        match run_loop_verifier(&topo, &devs, &partial).0 {
             LoopVerdict::LoopFound { .. } => found_loop += 1,
             LoopVerdict::NoLoop => no_loop += 1,
             LoopVerdict::Unknown => unknown += 1,
@@ -192,6 +276,40 @@ fn verdicts_are_not_vacuously_unknown() {
     assert!(found_loop > 0, "no LoopFound verdict in the sweep");
     assert!(no_loop > 0, "no NoLoop verdict in the sweep");
     assert!(unknown > 0, "no Unknown verdict in the sweep");
+}
+
+/// Completeness over every partial assignment of the mesh (each device
+/// unsynchronized, dropping, or forwarding to a neighbor or the sink):
+/// fed one device at a time or sealed all at once, every loop among the
+/// synchronized devices is reported, and loop freedom exactly when all
+/// devices are synchronized and none loops.
+#[test]
+fn every_synchronized_loop_is_reported() {
+    let (topo, devs, sink) = mesh();
+    let options: Vec<Option<Choice>> = std::iter::once(None)
+        .chain(std::iter::once(Some(None)))
+        .chain(devs.iter().chain([&sink]).map(|&d| Some(Some(d))))
+        .collect();
+    let mut two_loops = 0;
+    for mut code in 0..options.len().pow(N) {
+        let mut partial = Vec::new();
+        for i in 0..N as usize {
+            partial.push(options[code % options.len()]);
+            code /= options.len();
+            if partial[i] == Some(Some(devs[i])) {
+                partial[i] = Some(None); // no self-links: read as drop
+            }
+        }
+        let expected = loops_of(&synchronized_only(&partial));
+        let all_synced = partial.iter().all(|p| p.is_some());
+        let (_, ever_loop) = run_loop_verifier(&topo, &devs, &partial);
+        assert_eq!(ever_loop, !expected.is_empty(), "partial={partial:?}");
+        let (loops, holds) = seal_loop_reports(&topo, &devs, &partial);
+        assert_eq!(loops, expected, "partial={partial:?}");
+        assert_eq!(holds, all_synced && expected.is_empty(), "partial={partial:?}");
+        two_loops += usize::from(expected.len() == 2);
+    }
+    assert!(two_loops > 0, "no assignment closes two loops at once");
 }
 
 proptest! {
@@ -228,7 +346,13 @@ proptest! {
             })
             .collect();
 
-        let verdict = run_loop_verifier(&topo, &devs, sink, &partial);
+        let (verdict, ever_loop) = run_loop_verifier(&topo, &devs, &partial);
+        // Completeness: a loop among the synchronized devices alone must
+        // have been reported by some step.
+        prop_assert!(
+            ever_loop || !has_loop(&synchronized_only(&partial)),
+            "synchronized devices loop but no LoopFound: partial={partial:?}"
+        );
         let all = completions(&partial, &options);
         let loops: Vec<bool> = all.iter().map(|c| has_loop(c)).collect();
         match verdict {
