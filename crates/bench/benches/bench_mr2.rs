@@ -39,7 +39,7 @@ fn prepare(layout: &HeaderLayout) -> Prepared {
     let mut atomics = Vec::new();
     for (dev, updates) in block(layout, 16, 64) {
         let mut fib = Fib::new(layout);
-        let res = merge_block_and_diff(&mut fib, &updates);
+        let res = merge_block_and_diff(&mut fib, &updates, layout);
         let clip = engine.true_pred();
         atomics.extend(calculate_atomic_overwrites(
             &mut engine,
@@ -63,7 +63,7 @@ fn bench_decompose(c: &mut Criterion) {
                 let mut n = 0;
                 for (dev, updates) in &blocks {
                     let mut fib = Fib::new(&layout);
-                    let res = merge_block_and_diff(&mut fib, updates);
+                    let res = merge_block_and_diff(&mut fib, updates, &layout);
                     let clip = engine.true_pred();
                     n += calculate_atomic_overwrites(
                         &mut engine,

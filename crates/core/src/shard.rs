@@ -528,10 +528,11 @@ impl ShardCore {
         r
     }
 
-    /// Forces a mark-sweep collection on every warm engine.
+    /// Forces a mark-sweep collection on every warm engine and compacts
+    /// its PAT arena.
     pub fn collect(&mut self) {
         for v in self.slots.iter_mut().flatten() {
-            v.manager_mut().engine_mut().collect();
+            v.manager_mut().gc();
         }
     }
 

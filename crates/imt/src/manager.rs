@@ -10,7 +10,10 @@
 //! Memory management is delegated to the predicate engine: the model's
 //! entries are rooted [`flash_bdd::Pred`] handles, so the engine's
 //! automatic mark-sweep GC reclaims the map phase's transient predicates
-//! without any root collection or id remapping here.
+//! without any root collection or id remapping here. The PAT arena is
+//! compacted to the model's vectors by [`ModelManager::gc`] and at the
+//! end of a flush once it has doubled; every `PatId` the manager holds is
+//! renamed then (see [`crate::pat`]).
 
 use crate::memo::{MatchMemo, DEFAULT_MATCH_MEMO_CAPACITY};
 use crate::model::InverseModel;
@@ -18,7 +21,7 @@ use crate::mr2::{
     build_rule_trie, calculate_atomic_overwrites, calculate_atomic_overwrites_trie,
     cancel_updates, merge_block_and_diff, Netting,
 };
-use crate::pat::{PatId, PatStore};
+use crate::pat::{PatId, PatRemap, PatStore};
 use crate::snapshot::{EpochSnapshot, SnapshotClass, SnapshotPin};
 use crate::subspace::SubspaceSpec;
 use flash_bdd::{EngineTelemetry, Pred, PredEngine};
@@ -208,20 +211,27 @@ pub struct ModelManager {
     /// Memoized [`Self::class_keys`] result, keyed on the model's
     /// class-composition version; `RefCell` so the getters stay `&self`.
     class_keys_cache: RefCell<Option<(u64, Arc<Vec<u64>>)>>,
-    /// Per-`PatId` class fingerprints. `PatId`s are stable in the
-    /// append-only PAT arena, so entries never invalidate.
+    /// Per-`PatId` class fingerprints, renamed (and cleared of dead ids)
+    /// by every PAT compaction.
     fingerprint_memo: RefCell<HashMap<PatId, u64>>,
-    /// Per-`PatId` decoded action vectors for snapshot publication
-    /// (stable for the same reason).
+    /// Per-`PatId` decoded action vectors for snapshot publication,
+    /// renamed like `fingerprint_memo`.
     vector_memo: RefCell<HashMap<PatId, SharedActionVector>>,
     /// Live snapshot pins: `Pred` clones keeping published epochs'
     /// roots alive until every snapshot holder is gone.
     snapshot_pins: Vec<SnapshotPin>,
+    /// PAT nodes right after the last compaction; `flush` compacts again
+    /// once the arena has doubled.
+    pat_nodes_compacted: usize,
 }
 
 /// Initial overlap-degree estimate before any measurement: pessimistic
 /// enough that tiny diffs still choose the trie, large diffs do not.
 const OVERLAP_EWMA_INIT: f64 = 8.0;
+
+/// Smallest PAT arena a flush compacts: below it the doubling rule would
+/// compact small arenas over and over for no memory.
+const PAT_COMPACT_MIN_NODES: usize = 1 << 12;
 
 impl ModelManager {
     pub fn new(config: ModelManagerConfig) -> Self {
@@ -251,6 +261,7 @@ impl ModelManager {
             fingerprint_memo: RefCell::new(HashMap::new()),
             vector_memo: RefCell::new(HashMap::new()),
             snapshot_pins: Vec::new(),
+            pat_nodes_compacted: 0,
         }
     }
 
@@ -283,9 +294,9 @@ impl ModelManager {
     /// of a partition equals the whole-space class count — the
     /// cross-shard consistency check used by the sharded pipeline.
     /// Both the per-`PatId` fingerprints and the assembled key vector are
-    /// memoized: fingerprints are permanent (`PatId`s never move in the
-    /// append-only PAT arena) and the vector is keyed on the model's
-    /// class-composition version, so repeated calls between class
+    /// memoized: a fingerprint lives as long as its vector (a PAT
+    /// compaction renames it with the vector) and the key vector is keyed
+    /// on the model's class-composition version, so repeated calls between class
     /// add/remove events — per-epoch shard equivalence checks, snapshot
     /// publication — are O(1) instead of O(n log n) hashing.
     pub fn class_keys(&self) -> Vec<u64> {
@@ -324,8 +335,9 @@ impl ModelManager {
     /// epoch sequence `seq`, for concurrent query serving.
     ///
     /// Cheap: O(classes) `Pred` clones plus one decoded vector per
-    /// distinct `PatId` ever published (memoized) — **no BDD structure is
-    /// copied**. The manager pins every class predicate (clone-rooted in
+    /// distinct live `PatId` (memoized) — **no BDD structure is
+    /// copied**. The snapshot holds decoded vectors, never `PatId`s, so
+    /// later PAT compactions do not touch it. The manager pins every class predicate (clone-rooted in
     /// the engine) so collections here never reclaim snapshot nodes; the
     /// pin is released automatically once every `Arc<EpochSnapshot>` is
     /// dropped (dead pins are pruned at the next publish, or explicitly
@@ -646,7 +658,7 @@ impl ModelManager {
                 // pre-merge snapshot, then replay the applied updates.
                 self.tries.insert(dev, build_rule_trie(&layout, fib));
             }
-            let res = merge_block_and_diff(fib, &block);
+            let res = merge_block_and_diff(fib, &block, &layout);
             if let Some(trie) = self.tries.get_mut(&dev) {
                 for (op, rule) in &res.applied {
                     match op {
@@ -722,17 +734,44 @@ impl ModelManager {
         self.timings.apply += t2.elapsed();
 
         // Transient map-phase predicates dropped above are collected by the
-        // engine's automatic GC the next time its threshold trips; no
-        // manual root bookkeeping needed.
+        // engine's automatic GC the next time its threshold trips. The PAT
+        // arena is not: compacting it once it has doubled keeps it within
+        // twice the live vectors at O(1) amortized cost per node, also for
+        // callers that never run `gc`.
+        if self.pat.node_count() >= 2 * self.pat_nodes_compacted.max(PAT_COMPACT_MIN_NODES) {
+            self.compact_pat();
+        }
         order
     }
 
     /// Forces a predicate-engine collection (the engine also collects
-    /// automatically past the configured threshold). Returns the number of
-    /// reclaimed nodes.
+    /// automatically past the configured threshold) and compacts the PAT
+    /// arena to the model's vectors. Returns the number of reclaimed
+    /// predicate nodes.
     pub fn gc(&mut self) -> usize {
-        self.engine.collect()
+        let reclaimed = self.engine.collect();
+        self.compact_pat();
+        reclaimed
     }
+
+    /// Copies the model's action vectors into a fresh PAT arena and renames
+    /// every `PatId` the manager holds: the entries, the model's vector
+    /// map and both memos, whose dead ids are dropped.
+    fn compact_pat(&mut self) {
+        let map = self.pat.compact(self.model.entries().iter().map(|e| e.vector));
+        self.model.remap_vectors(&map);
+        rename_keys(&self.fingerprint_memo, &map);
+        rename_keys(&self.vector_memo, &map);
+        self.pat_nodes_compacted = self.pat.node_count();
+    }
+}
+
+/// Renames the keys of a per-`PatId` memo after a PAT compaction, dropping
+/// the entries of dead vectors.
+fn rename_keys<V>(memo: &RefCell<HashMap<PatId, V>>, map: &PatRemap) {
+    let mut memo = memo.borrow_mut();
+    let renamed = memo.drain().filter_map(|(id, v)| Some((*map.get(&id)?, v))).collect();
+    *memo = renamed;
 }
 
 #[cfg(test)]
@@ -970,6 +1009,112 @@ mod tests {
         let classes = m.model().len();
         m.gc();
         assert_eq!(m.model().len(), classes);
+        let (engine, _, model) = m.parts_mut();
+        model.check_invariants(engine).unwrap();
+    }
+
+    /// Swap churn leaves a dead PAT vector behind on every class it moves.
+    /// After each `gc()` the arena holds exactly the nodes reachable from
+    /// the model, and the collection changes neither the class
+    /// fingerprints nor what a snapshot published before it answers.
+    #[test]
+    fn gc_leaves_only_reachable_pat_nodes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::hash::{Hash, Hasher};
+
+        let layout = l();
+        let mut at = ActionTable::new();
+        let actions: Vec<ActionId> = (0..64).map(|i| at.fwd(DeviceId(100 + i))).collect();
+        let mut rng = StdRng::seed_from_u64(0x5A_9C0A);
+        // Six devices with eight overlapping prefixes each.
+        let mut tables: Vec<Vec<Rule>> = (0..6)
+            .map(|_| {
+                (0..8i64)
+                    .map(|prio| {
+                        let len = rng.gen_range(1..=6u32);
+                        let v = (rng.gen_range(0u64..256) >> (8 - len)) << (8 - len);
+                        Rule::new(Match::dst_prefix(&layout, v, len), prio, actions[rng.gen_range(0..64)])
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut m = mgr(usize::MAX);
+        for (d, rules) in tables.iter().enumerate() {
+            m.submit(DeviceId(d as u32), rules.iter().map(|r| RuleUpdate::insert(*r)));
+        }
+        m.flush();
+        let decoded = |m: &ModelManager| -> Vec<Vec<(DeviceId, ActionId)>> {
+            m.model().entries().iter().map(|e| m.pat().entries(e.vector)).collect()
+        };
+        let fingerprints = |m: &ModelManager| -> Vec<u64> {
+            decoded(m)
+                .iter()
+                .map(|v| {
+                    let mut h = std::collections::hash_map::DefaultHasher::new();
+                    v.hash(&mut h);
+                    h.finish()
+                })
+                .collect()
+        };
+        let headers: Vec<Vec<bool>> =
+            (0..=255u64).map(|h| (0..8).map(|i| (h >> (7 - i)) & 1 == 1).collect()).collect();
+
+        let mut swap_block = |m: &mut ModelManager| {
+            for _ in 0..4 {
+                let (d, i) = (rng.gen_range(0..6), rng.gen_range(0..8));
+                let old = tables[d][i];
+                let next = actions[(actions.iter().position(|a| *a == old.action).unwrap() + 1) % 64];
+                tables[d][i] = Rule::new(old.mat, old.priority, next);
+                m.submit(DeviceId(d as u32), [RuleUpdate::delete(old), RuleUpdate::insert(tables[d][i])]);
+            }
+            m.flush();
+        };
+
+        let mut reclaimed = 0;
+        for block in 0..500u64 {
+            swap_block(&mut m);
+            if block % 8 != 7 {
+                continue;
+            }
+            // The memoized keys (renamed by the previous collection) agree
+            // with a fresh decode.
+            let keys = m.class_keys();
+            assert_eq!(keys, fingerprints(&m), "block {block}");
+            let vectors = decoded(&m);
+            let snap = m.publish_snapshot(block);
+            let before = m.pat().node_count();
+            m.gc();
+            reclaimed += before - m.pat().node_count();
+            // Distinct nodes reachable from the model: the canonical trees
+            // of its vectors, built in an arena of their own.
+            let mut fresh = PatStore::new();
+            for v in &vectors {
+                fresh.from_entries(v);
+            }
+            assert_eq!(m.pat().node_count(), fresh.node_count(), "block {block}");
+            assert_eq!(decoded(&m), vectors);
+            assert_eq!(m.class_keys(), keys);
+            let again = m.publish_snapshot(block + 1);
+            for bits in &headers {
+                let live = m.model().classify(m.engine(), bits).map(|e| m.pat().entries(e.vector));
+                assert_eq!(live, snap.classify(bits).map(|c| c.vector.as_ref().clone()));
+                assert_eq!(live, again.classify(bits).map(|c| c.vector.as_ref().clone()));
+            }
+        }
+        assert!(reclaimed > 0, "the churn never left a dead vector behind");
+
+        // Without `gc()`, `flush` compacts once the arena has doubled.
+        let vectors = decoded(&m);
+        let mut flush_compactions = 0;
+        for _ in 0..1000 {
+            let before = m.pat().node_count();
+            swap_block(&mut m);
+            flush_compactions += usize::from(m.pat().node_count() < before);
+            assert!(m.pat().node_count() < 2 * PAT_COMPACT_MIN_NODES);
+        }
+        assert!(flush_compactions > 0, "the arena never reached the flush threshold");
+        assert_ne!(decoded(&m), vectors, "the churn moved no class");
+        assert_eq!(m.class_keys(), fingerprints(&m));
         let (engine, _, model) = m.parts_mut();
         model.check_invariants(engine).unwrap();
     }
@@ -1253,7 +1398,7 @@ mod tests {
                 let updates: Vec<RuleUpdate> =
                     block.iter().filter(|(dev, _)| dev.0 == d).map(|(_, u)| *u).collect();
                 let fib = ref_fibs.entry(DeviceId(d)).or_insert_with(|| Fib::new(&layout));
-                let res = merge_block_and_diff(fib, &cancel_updates(&updates));
+                let res = merge_block_and_diff(fib, &cancel_updates(&updates), &layout);
                 let clip = ref_engine.true_pred();
                 atomics.extend(calculate_atomic_overwrites(
                     &mut ref_engine,

@@ -13,7 +13,7 @@
 
 use crate::index::ClassIndex;
 use crate::mr2::Overwrite;
-use crate::pat::{PatId, PatStore, PAT_NIL};
+use crate::pat::{PatId, PatRemap, PatStore, PAT_NIL};
 use flash_bdd::{Pred, PredEngine};
 use std::collections::HashMap;
 
@@ -321,6 +321,17 @@ impl InverseModel {
         }
         self.index = ClassIndex::build(engine, &self.entries);
         self.index_stats.rebuilds += 1;
+    }
+
+    /// Renames every entry's action vector after a PAT compaction that
+    /// kept this model's vectors (`PatStore::compact`). The classes stay
+    /// the same, so the version does not move.
+    pub(crate) fn remap_vectors(&mut self, map: &PatRemap) {
+        self.by_vector.clear();
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            e.vector = *map.get(&e.vector).expect("the compaction kept every model vector");
+            self.by_vector.insert(e.vector, i);
+        }
     }
 
     /// Applies a batch of overwrites in order (they compose by Lemma 1).

@@ -5,9 +5,12 @@
 //! 1. **Cancel** — remove insert/delete pairs of the same rule inside the
 //!    block (they are no-ops end to end).
 //! 2. **Merge** (`merge_block_and_diff`) — one merge pass over the sorted
-//!    FIB and the sorted block applies the updates and collects `R_diff`,
-//!    the *expanding rules* (Definition 13): new rules, plus existing rules
-//!    below a deleted rule's priority.
+//!    FIB and the sorted block applies the updates; a second pass over the
+//!    updated table collects `R_diff`, the *expanding rules* (Definition
+//!    13): new rules, plus the surviving rules below a deleted rule whose
+//!    match may overlap theirs. A delete that the block re-inserts at the
+//!    same match and priority (an action swap) un-shadows nothing, so a
+//!    block of swaps expands only its inserts.
 //! 3. **Map** (`calculate_atomic_overwrites`) — a second linear pass over
 //!    the (now updated, sorted) FIB computes each expanding rule's
 //!    effective predicate `eff = m ∧ ¬⋁(higher-priority matches)` with an
@@ -31,10 +34,11 @@
 
 use crate::memo::MatchMemo;
 use flash_bdd::{MixBuildHasher, Pred, PredEngine};
-use flash_netmodel::fib::rule_cmp;
+use flash_netmodel::fib::{match_hash, rule_cmp};
 use flash_netmodel::{
     ActionId, DeviceId, Fib, HeaderLayout, Rule, RuleOp, RuleTrie, RuleUpdate,
 };
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// An atomic overwrite: set `device`'s action to `action` for the headers
@@ -86,7 +90,12 @@ pub fn cancel_updates(block: &[RuleUpdate]) -> Vec<RuleUpdate> {
 
 /// Output of the merge phase.
 pub struct MergeResult {
-    /// The expanding rules, in descending priority order.
+    /// The expanding rules, in descending priority order: every inserted
+    /// rule, and every surviving rule a delete may have un-shadowed (see
+    /// [`merge_block_and_diff`]). A superset of the rules whose effective
+    /// header set grew: an extra rule costs one shadow subtraction and
+    /// rewrites actions the model already holds; a missing one would leave
+    /// stale actions in the model.
     pub diff: Vec<Rule>,
     /// The updates that actually changed the FIB, in merge order: every
     /// insert, and only the deletes whose rule was present. Consumers
@@ -100,60 +109,94 @@ pub struct MergeResult {
 /// the FIB in one merge pass and returns the expanding rules.
 ///
 /// `fib` is mutated in place to the post-update rule set `R'`.
-pub fn merge_block_and_diff(fib: &mut Fib, block: &[RuleUpdate]) -> MergeResult {
+///
+/// Inserted rules always expand. A surviving rule `x` expands only when
+/// some deleted rule `d` sorts at or above it, was not *replaced in
+/// place*, and may overlap it (`d.mat.may_overlap(&x.mat, layout)`). `d`
+/// is replaced in place when the block inserts a rule with `d`'s match
+/// and priority and no other rule of `R'` shares `d`'s `(priority, match
+/// hash)` slot of [`rule_cmp`]: the insert then takes `d`'s slot, and
+/// every other rule keeps the same set of higher-priority matches.
+///
+/// Why that is enough: a rule's effective headers are
+/// `eff(x) = x.m ∧ ¬⋃above(x)`. Deleting `d` shrinks `⋃above(x)` only
+/// inside `d.m`, so `x` can gain headers only where `x.m ∩ d.m ≠ ∅`. The
+/// headers `x` loses are won by inserted rules, whose overwrites are
+/// emitted. Extra diff rules are wasted work but never wrong; a missing
+/// one is wrong.
+///
+/// Cost: a block whose deletes are all replaced in place (action swaps)
+/// pays nothing beyond the merge; otherwise at most
+/// `|R'| × unreplaced deletes` calls to `may_overlap`.
+pub fn merge_block_and_diff(
+    fib: &mut Fib,
+    block: &[RuleUpdate],
+    layout: &HeaderLayout,
+) -> MergeResult {
     let mut sorted: Vec<&RuleUpdate> = block.iter().collect();
     sorted.sort_by(|a, b| rule_cmp(&a.rule, &b.rule));
 
-    let old_rules = fib.rules().to_vec();
+    let old_rules = fib.rules();
     let mut new_rules: Vec<Rule> = Vec::with_capacity(old_rules.len() + sorted.len());
-    let mut diff: Vec<Rule> = Vec::new();
+    // Parallel to `new_rules`: whether this block inserted the rule.
+    let mut inserted: Vec<bool> = Vec::with_capacity(new_rules.capacity());
+    let mut deleted: Vec<Rule> = Vec::new();
     let mut applied: Vec<(RuleOp, Rule)> = Vec::new();
-    let mut higher_deleted = false;
 
     let mut ri = 0usize; // cursor into old_rules
-    let mut ui = 0usize; // cursor into sorted updates
-
-    while ui < sorted.len() {
-        let u = sorted[ui];
+    for u in sorted {
         // Advance past existing rules that sort before this update.
-        while ri < old_rules.len() && rule_cmp(&old_rules[ri], &u.rule) == std::cmp::Ordering::Less
-        {
-            if higher_deleted {
-                diff.push(old_rules[ri]); // may expand
-            }
+        while ri < old_rules.len() && rule_cmp(&old_rules[ri], &u.rule) == Ordering::Less {
             new_rules.push(old_rules[ri]);
+            inserted.push(false);
             ri += 1;
         }
         match u.op {
             RuleOp::Insert => {
-                diff.push(u.rule); // new rules always expand
                 new_rules.push(u.rule);
+                inserted.push(true);
                 applied.push((RuleOp::Insert, u.rule));
             }
             RuleOp::Delete => {
                 // The deleted rule must be the current head of old_rules.
                 if ri < old_rules.len() && old_rules[ri] == u.rule {
                     ri += 1; // skip it: deleted
-                    higher_deleted = true;
+                    deleted.push(u.rule);
                     applied.push((RuleOp::Delete, u.rule));
                 }
                 // A delete of a missing rule is ignored (robustness to
                 // out-of-sync feeds; the paper assumes well-formed blocks).
             }
         }
-        ui += 1;
     }
     // Tail of the old table.
-    while ri < old_rules.len() {
-        if higher_deleted {
-            diff.push(old_rules[ri]);
+    new_rules.extend_from_slice(&old_rules[ri..]);
+    inserted.resize(new_rules.len(), false);
+
+    // The deletes that may un-shadow headers: all but those replaced in
+    // place. The rules of one slot are contiguous in `R'`.
+    let slot = |r: &Rule| (std::cmp::Reverse(r.priority), match_hash(&r.mat));
+    let in_slot = |i: usize, d: &Rule| new_rules.get(i).is_some_and(|r| slot(r) == slot(d));
+    let unreplaced: Vec<Rule> = deleted
+        .into_iter()
+        .filter(|d| {
+            let at = new_rules.partition_point(|r| slot(r) < slot(d));
+            !(in_slot(at, d) && !in_slot(at + 1, d) && inserted[at] && new_rules[at].mat == d.mat)
+        })
+        .collect();
+
+    let mut diff: Vec<Rule> = Vec::new();
+    let mut above = 0usize; // unreplaced[..above] sort at or above the current rule
+    for (r, &new) in new_rules.iter().zip(&inserted) {
+        while above < unreplaced.len() && rule_cmp(&unreplaced[above], r) != Ordering::Greater {
+            above += 1;
         }
-        new_rules.push(old_rules[ri]);
-        ri += 1;
+        if new || unreplaced[..above].iter().any(|d| d.mat.may_overlap(&r.mat, layout)) {
+            diff.push(*r);
+        }
     }
 
     *fib = Fib::from_sorted(new_rules);
-    diff.sort_by(rule_cmp);
     MergeResult { diff, applied }
 }
 
@@ -485,7 +528,7 @@ mod tests {
         let a1 = at.fwd(DeviceId(1));
         let mut fib = Fib::new(&l);
         let r = rule(&l, 0xA0, 4, 5, a1);
-        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(r)]);
+        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(r)], &l);
         assert_eq!(res.diff, vec![r]);
         assert_eq!(fib.len(), 2);
         assert_eq!(fib.rules()[0], r);
@@ -499,14 +542,162 @@ mod tests {
         let a2 = at.fwd(DeviceId(2));
         let mut fib = Fib::new(&l);
         let high = rule(&l, 0xA0, 4, 10, a1);
+        let apart = rule(&l, 0x10, 4, 7, a2); // disjoint from `high`
         let low = rule(&l, 0xA0, 2, 5, a2);
-        fib.insert(high).unwrap();
-        fib.insert(low).unwrap();
-        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::delete(high)]);
-        // Both the lower rule and the default rule may expand.
-        assert_eq!(res.diff.len(), 2);
-        assert_eq!(res.diff[0], low);
-        assert_eq!(fib.len(), 2);
+        for r in [high, apart, low] {
+            fib.insert(r).unwrap();
+        }
+        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::delete(high)], &l);
+        // The lower rule the deleted match overlaps and the default rule
+        // may expand; the disjoint one keeps its headers.
+        assert_eq!(res.diff, vec![low, *fib.rules().last().unwrap()]);
+        assert_eq!(fib.len(), 3);
+    }
+
+    #[test]
+    fn swap_expands_only_the_reinserted_rule() {
+        let l = layout();
+        let mut at = ActionTable::new();
+        let a1 = at.fwd(DeviceId(1));
+        let a2 = at.fwd(DeviceId(2));
+        let mut fib = Fib::new(&l);
+        let high = rule(&l, 0x80, 1, 10, a1);
+        let mid = rule(&l, 0xA0, 3, 8, a1);
+        let low = rule(&l, 0xA0, 4, 6, a2);
+        for r in [high, mid, low] {
+            fib.insert(r).unwrap();
+        }
+        // Same match and priority, another action: the insert takes the
+        // deleted rule's slot and nothing below it gains a header.
+        let swapped = Rule::new(mid.mat, mid.priority, a2);
+        let block = [RuleUpdate::delete(mid), RuleUpdate::insert(swapped)];
+        let res = merge_block_and_diff(&mut fib, &block, &l);
+        assert_eq!(res.diff, vec![swapped]);
+        assert_eq!(fib.rules()[..3], [high, swapped, low]);
+    }
+
+    #[test]
+    fn disjoint_delete_expands_only_the_default() {
+        let l = layout();
+        let mut at = ActionTable::new();
+        let a1 = at.fwd(DeviceId(1));
+        let mut fib = Fib::new(&l);
+        let gone = rule(&l, 0xA0, 4, 10, a1);
+        for r in [gone, rule(&l, 0x10, 4, 8, a1), rule(&l, 0x40, 2, 6, a1)] {
+            fib.insert(r).unwrap();
+        }
+        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::delete(gone)], &l);
+        assert_eq!(res.diff, vec![*fib.rules().last().unwrap()]);
+    }
+
+    #[test]
+    fn swap_past_a_shadowed_duplicate_expands_it() {
+        // One match at one priority held twice, with different actions:
+        // the first in the total order wins, the second is fully shadowed.
+        // A swap whose new action sorts after the duplicate leaves the
+        // duplicate first in the slot, so the duplicate must expand.
+        let l = layout();
+        let mut at = ActionTable::new();
+        let a1 = at.fwd(DeviceId(1));
+        let a2 = at.fwd(DeviceId(2));
+        let a3 = at.fwd(DeviceId(3));
+        assert!(a1 < a2 && a2 < a3);
+        let m = Match::dst_prefix(&l, 0xA0, 4);
+        let (first, dup, swapped) = (Rule::new(m, 5, a1), Rule::new(m, 5, a2), Rule::new(m, 5, a3));
+        let mut fib = Fib::new(&l);
+        fib.insert(first).unwrap();
+        fib.insert(dup).unwrap();
+        let block = [RuleUpdate::delete(first), RuleUpdate::insert(swapped)];
+        let res = merge_block_and_diff(&mut fib, &block, &l);
+        assert_eq!(fib.rules()[..2], [dup, swapped]);
+        assert!(res.diff.contains(&dup), "the duplicate now owns the match");
+        let mut e = PredEngine::new(8);
+        let t = e.true_pred();
+        let ows = calculate_atomic_overwrites(
+            &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
+        );
+        assert!(ows.iter().any(|o| o.action == a2 && e.sat_count(&o.pred) == 16.0));
+        assert!(ows.iter().all(|o| o.action != a3), "the swapped-in rule is shadowed");
+    }
+
+    /// The independent oracle for the expanding set: each rule's header
+    /// set before and after a block, by enumerating the 256 headers of an
+    /// 8-bit layout and taking the first rule of the table that covers
+    /// each. No predicate is built. A rule the diff leaves out must not
+    /// have gained a header.
+    #[test]
+    fn diff_covers_every_rule_whose_header_set_grew() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        let l = layout();
+        let mut rng = StdRng::seed_from_u64(0x0DD5_EED5);
+        // Few prefixes and priorities, so that rules repeat a (match,
+        // priority) pair and shadow each other.
+        let prefixes: Vec<(u64, u32)> = (0..8)
+            .map(|_| {
+                let len = rng.gen_range(1..=8u32);
+                ((rng.gen_range(0u64..256) >> (8 - len)) << (8 - len), len)
+            })
+            .collect();
+        let mut span: HashMap<Match, (u64, u32)> = prefixes
+            .iter()
+            .map(|&(v, len)| (Match::dst_prefix(&l, v, len), (v, len)))
+            .collect();
+        span.insert(Match::any(&l), (0, 0));
+        let covers = |r: &Rule, h: u64| {
+            let (v, len) = span[&r.mat];
+            (h ^ v) >> (8 - len) == 0
+        };
+        let header_sets = |fib: &Fib| {
+            let mut sets: HashMap<Rule, HashSet<u64>> = HashMap::new();
+            for h in 0..256u64 {
+                let first = fib.rules().iter().find(|r| covers(r, h)).expect("the default covers all");
+                sets.entry(*first).or_default().insert(h);
+            }
+            sets
+        };
+        let random_rule = |rng: &mut StdRng| {
+            let (v, len) = prefixes[rng.gen_range(0..prefixes.len())];
+            let action = ActionId(rng.gen_range(1u32..4));
+            Rule::new(Match::dst_prefix(&l, v, len), rng.gen_range(0i64..3), action)
+        };
+
+        let (mut unshadowed, mut swaps) = (0, 0);
+        for _ in 0..400 {
+            // No `cancel_updates` on the seed: a rule may go in twice.
+            let seed: Vec<RuleUpdate> = (0..rng.gen_range(0..10))
+                .map(|_| RuleUpdate::insert(random_rule(&mut rng)))
+                .collect();
+            let mut fib = Fib::new(&l);
+            merge_block_and_diff(&mut fib, &seed, &l);
+            let installed = fib.rules()[..fib.len() - 1].to_vec();
+            let mut block = Vec::new();
+            for _ in 0..rng.gen_range(1..5) {
+                match rng.gen_range(0..3) {
+                    0 if !installed.is_empty() => {
+                        block.push(RuleUpdate::delete(installed[rng.gen_range(0..installed.len())]));
+                    }
+                    1 if !installed.is_empty() => {
+                        let old = installed[rng.gen_range(0..installed.len())];
+                        let action = ActionId(rng.gen_range(1u32..4));
+                        block.push(RuleUpdate::delete(old));
+                        block.push(RuleUpdate::insert(Rule::new(old.mat, old.priority, action)));
+                        swaps += 1;
+                    }
+                    _ => block.push(RuleUpdate::insert(random_rule(&mut rng))),
+                }
+            }
+            let before = header_sets(&fib);
+            let res = merge_block_and_diff(&mut fib, &cancel_updates(&block), &l);
+            for (r, after) in header_sets(&fib) {
+                if before.get(&r).is_none_or(|b| !after.is_subset(b)) {
+                    assert!(res.diff.contains(&r), "{r:?} gained headers, diff {:?}", res.diff);
+                    unshadowed += usize::from(before.contains_key(&r));
+                }
+            }
+        }
+        assert!(swaps > 0 && unshadowed > 0, "no block un-shadowed a surviving rule");
     }
 
     #[test]
@@ -527,11 +718,12 @@ mod tests {
         let res = merge_block_and_diff(
             &mut fib,
             &[RuleUpdate::delete(r2), RuleUpdate::insert(rnew)],
+            &l,
         );
-        // rnew expands (new); r3 and default expand (below deleted r2).
-        assert_eq!(res.diff.len(), 3);
-        assert!(res.diff.contains(&rnew));
-        assert!(res.diff.contains(&r3));
+        // rnew expands (new) and so does the default (below the deleted
+        // r2, which it overlaps); r3 is disjoint from r2.
+        assert_eq!(res.diff, vec![rnew, *fib.rules().last().unwrap()]);
+        assert!(!res.diff.contains(&r3));
         let prios: Vec<i64> = fib.rules().iter().map(|r| r.priority).collect();
         assert_eq!(prios, vec![10, 7, 6, i64::MIN]);
     }
@@ -549,7 +741,7 @@ mod tests {
         let shadow = rule(&l, 0xA0, 5, 10, a1); // 10100/5
         fib.insert(shadow).unwrap();
         let newr = rule(&l, 0xA0, 4, 5, a2); // 1010/4, shadowed on its 0xA0-0xA7 half
-        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(newr)]);
+        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(newr)], &l);
         let ows = calculate_atomic_overwrites(
             &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
         );
@@ -570,7 +762,7 @@ mod tests {
         fib.insert(rule(&l, 0xA0, 4, 10, a1)).unwrap();
         // New rule entirely inside the shadow, lower priority.
         let newr = rule(&l, 0xA8, 5, 5, a2);
-        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(newr)]);
+        let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(newr)], &l);
         let ows = calculate_atomic_overwrites(
             &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
         );
@@ -680,7 +872,7 @@ mod tests {
         let block: Vec<RuleUpdate> = (0..6u64)
             .map(|i| RuleUpdate::insert(rule(&l, (i * 40) & 0xE0, 3, 20 + i as i64, a9)))
             .collect();
-        let res = merge_block_and_diff(&mut fib, &block);
+        let res = merge_block_and_diff(&mut fib, &block, &l);
         let acc = calculate_atomic_overwrites(
             &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
         );
@@ -740,7 +932,7 @@ mod tests {
         ];
         for (dev, r) in init {
             let block = vec![RuleUpdate::insert(r)];
-            let res = merge_block_and_diff(&mut fibs[dev], &block);
+            let res = merge_block_and_diff(&mut fibs[dev], &block, &l);
             let ows = calculate_atomic_overwrites(
                 &mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t,
                 &mut MatchMemo::disabled(),
@@ -786,7 +978,7 @@ mod tests {
         let mut all_atomics = Vec::new();
         for (dev, block) in updates {
             let block = cancel_updates(&block);
-            let res = merge_block_and_diff(&mut fibs[dev], &block);
+            let res = merge_block_and_diff(&mut fibs[dev], &block, &l);
             all_atomics.extend(calculate_atomic_overwrites(
                 &mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t,
                 &mut MatchMemo::disabled(),

@@ -19,6 +19,18 @@
 //! Devices absent from a tree implicitly take the default action
 //! (`ACTION_DROP`), which keeps initial all-default vectors at the empty
 //! tree [`PAT_NIL`].
+//!
+//! ## Collection
+//!
+//! The arena only grows: an overwrite path-copies, and nothing is freed
+//! when a vector stops being used. `PatStore::compact` copies the trees
+//! reachable from a set of roots (the model's vectors) into a fresh arena
+//! and returns the old → new id of every copied node; whoever holds a
+//! `PatId` renames it through that map, and an id missing from it was
+//! dead. The copies are interned like the originals, so vector equality
+//! stays id equality. [`crate::ModelManager`] compacts in `gc()` and at
+//! the end of a flush once the arena has doubled since its last
+//! compaction.
 
 use flash_bdd::MixBuildHasher;
 use flash_netmodel::{ActionId, DeviceId, ACTION_DROP};
@@ -26,6 +38,9 @@ use std::collections::HashMap;
 
 /// Index of a PAT node in a [`PatStore`]. `PAT_NIL` is the empty tree.
 pub type PatId = u32;
+
+/// Old → new ids of the nodes a `PatStore::compact` kept.
+pub(crate) type PatRemap = HashMap<PatId, PatId, MixBuildHasher>;
 
 /// The empty action vector (every device at the default action).
 pub const PAT_NIL: PatId = 0;
@@ -320,6 +335,31 @@ impl PatStore {
     pub fn from_entries(&mut self, entries: &[(DeviceId, ActionId)]) -> PatId {
         self.overwrite(PAT_NIL, entries)
     }
+
+    /// Copies the trees reachable from `roots` into a fresh arena and drops
+    /// every other node. Returns the new id of each copied node, `PAT_NIL`
+    /// included; an id missing from the map was dead.
+    pub(crate) fn compact(&mut self, roots: impl IntoIterator<Item = PatId>) -> PatRemap {
+        let old = std::mem::replace(self, PatStore::new());
+        let mut map = PatRemap::default();
+        map.insert(PAT_NIL, PAT_NIL);
+        for root in roots {
+            self.copy_tree(&old, root, &mut map);
+        }
+        map
+    }
+
+    fn copy_tree(&mut self, old: &PatStore, t: PatId, map: &mut PatRemap) -> PatId {
+        if let Some(&id) = map.get(&t) {
+            return id;
+        }
+        let n = old.node(t);
+        let left = self.copy_tree(old, n.left, map);
+        let right = self.copy_tree(old, n.right, map);
+        let id = self.mk(n.key, n.value, left, right);
+        map.insert(t, id);
+        id
+    }
 }
 
 #[cfg(test)]
@@ -437,6 +477,24 @@ mod tests {
         let _t2 = s.set(t, d(512), a(2));
         let grown = s.node_count() - before;
         assert!(grown <= 64, "expected O(log n) new nodes, got {grown}");
+    }
+
+    #[test]
+    fn compact_keeps_only_the_reachable_trees() {
+        let mut s = PatStore::new();
+        let keep = s.from_entries(&[(d(1), a(10)), (d(2), a(20)), (d(3), a(30))]);
+        let mut dead = keep;
+        for i in 0..40u32 {
+            dead = s.set(dead, d(100 + i), a(i + 1));
+        }
+        let kept = s.entries(keep);
+        let map = s.compact([keep, keep]);
+        assert_eq!(s.entries(map[&keep]), kept);
+        assert_eq!(s.node_count(), 3, "only the kept vector's nodes survive");
+        assert!(!map.contains_key(&dead));
+        // The copies are interned: building the vector again finds them.
+        assert_eq!(s.from_entries(&kept), map[&keep]);
+        assert_eq!(s.node_count(), 3);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! at a sealed epoch, for the concurrent query tier.
 //!
 //! A snapshot is **cheap**: `O(classes)` handle clones and one decoded
-//! action vector per *distinct* `PatId` ever snapshotted (memoized —
-//! `PatId`s are stable in the append-only PAT arena). No BDD structure
-//! is copied. Instead, each class predicate's root id is exported
+//! action vector per *distinct* live `PatId` (memoized by the manager).
+//! A snapshot keeps the decoded vectors, never `PatId`s, so the PAT
+//! compaction that renames every `PatId` leaves it untouched. No BDD
+//! structure is copied. Instead, each class predicate's root id is exported
 //! alongside a [`NodeView`] over the owning engine's non-moving node
 //! arena, and the manager keeps a **pin** — live [`Pred`] clones of
 //! every class — for as long as the snapshot has holders. Pinned roots

@@ -93,13 +93,14 @@ fn kernelized_overwrites_match_binary_fold_on_random_block() {
         seed_block.push(RuleUpdate::insert(rule));
     }
     let mut fib = Fib::new(&layout);
-    merge_block_and_diff(&mut fib, &seed_block);
+    merge_block_and_diff(&mut fib, &seed_block, &layout);
     // 1000 random rules + the FIB's built-in default wildcard.
     assert_eq!(fib.rules().len(), 1001);
 
     // A 100-update block: ~60 fresh inserts, ~40 deletes of installed
-    // rules (deletes make lower-priority survivors expand, exercising the
-    // cursor/suffix path, not just the new-rule path).
+    // rules (deletes make the lower-priority survivors they overlap
+    // expand, exercising the cursor/suffix path, not just the new-rule
+    // path).
     let mut block: Vec<RuleUpdate> = Vec::new();
     while block.len() < 100 {
         if block.len() % 5 < 3 {
@@ -115,7 +116,7 @@ fn kernelized_overwrites_match_binary_fold_on_random_block() {
     }
     let block = cancel_updates(&block);
     let diff = {
-        let res = merge_block_and_diff(&mut fib, &block);
+        let res = merge_block_and_diff(&mut fib, &block, &layout);
         res.diff
     };
     assert!(!diff.is_empty(), "block must produce expanding rules");
