@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flash_bdd::PredEngine;
-use flash_imt::mr2::{calculate_atomic_overwrites, merge_block_and_diff, Netting};
+use flash_imt::mr2::{atomic_overwrites, calculate_atomic_overwrites, merge_block_and_diff, Netting};
 use flash_imt::{InverseModel, MatchMemo, PatStore};
 use flash_netmodel::{ActionTable, DeviceId, Fib, HeaderLayout, Match, Rule, RuleUpdate};
 
@@ -41,15 +41,15 @@ fn prepare(layout: &HeaderLayout) -> Prepared {
         let mut fib = Fib::new(layout);
         let res = merge_block_and_diff(&mut fib, &updates, layout);
         let clip = engine.true_pred();
-        atomics.extend(calculate_atomic_overwrites(
+        let effective = calculate_atomic_overwrites(
             &mut engine,
             layout,
-            dev,
             &fib,
             &res.diff,
             &clip,
             &mut MatchMemo::disabled(),
-        ));
+        );
+        atomics.extend(atomic_overwrites(dev, &res.diff, effective));
     }
     (engine, pat, model, atomics)
 }
@@ -61,14 +61,13 @@ fn bench_decompose(c: &mut Criterion) {
             || (PredEngine::new(16), block(&layout, 16, 64)),
             |(mut engine, blocks)| {
                 let mut n = 0;
-                for (dev, updates) in &blocks {
+                for (_, updates) in &blocks {
                     let mut fib = Fib::new(&layout);
                     let res = merge_block_and_diff(&mut fib, updates, &layout);
                     let clip = engine.true_pred();
                     n += calculate_atomic_overwrites(
                         &mut engine,
                         &layout,
-                        *dev,
                         &fib,
                         &res.diff,
                         &clip,

@@ -21,7 +21,9 @@
 //! The verify scenario records the parse/ingest vs seal wall split, the
 //! model manager's map / reduce / apply share of it
 //! (`ModelManager::timings()`; on the snapshot path all three run inside
-//! the seal, whose remainder — detection — is `seal_other_ms`) and
+//! the seal, whose remainder — detection — is `seal_other_ms`), the
+//! share of rules whose map the bulk load reused from another device's
+//! table (`map_reuse_share`) and
 //! end-to-end rules/s either way, plus the loop verifier's `searches`
 //! and `visited_nodes` counters.
 //!
@@ -301,6 +303,9 @@ fn run_verify(
         timings.apply.as_secs_f64() * 1e3,
     );
     let seal_other_ms = (seal_ms - map_ms - reduce_ms - apply_ms).max(0.0);
+    // Rules whose effective predicate the bulk map took from an earlier
+    // device's table instead of computing it (0 on the sequential path).
+    let map_reuse_share = stats.map_reused_rules as f64 / total.max(1) as f64;
     println!(
         "verified {} rules in {:.0}ms ({:.0}ms ingest + {:.0}ms seal [map {:.0} reduce {:.0} \
          apply {:.0}], {} threads, {:.0} rules/s): {} classes, block p50 {:.2}ms p99 {:.2}ms \
@@ -319,6 +324,7 @@ fn run_verify(
         per_block_ms.percentile(99.0),
         per_block_ms.max()
     );
+    println!("map_reuse_share {map_reuse_share:.4}");
     for v in violations.iter() {
         println!("VIOLATION {v}");
     }
@@ -336,6 +342,7 @@ fn run_verify(
             ("reduce_ms", reduce_ms),
             ("apply_ms", apply_ms),
             ("seal_other_ms", seal_other_ms),
+            ("map_reuse_share", map_reuse_share),
             ("classes", mgr.model().len() as f64),
             ("updates_accepted", stats.updates_accepted as f64),
             ("atomic_overwrites", stats.atomic_overwrites as f64),

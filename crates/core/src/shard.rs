@@ -408,7 +408,7 @@ impl ShardCore {
     /// Rebuilds a core from a checkpoint. The inverse model is a
     /// deterministic function of the current FIB set, so the checkpoint
     /// stores per-device rule snapshots, not engine state: restore
-    /// re-ingests them into fresh verifiers, merges the checkpointed
+    /// bulk-loads them into fresh verifiers, merges the checkpointed
     /// emitted-verdict keys (suppressing every verdict that was already
     /// delivered — consistent detection is deterministic, so anything
     /// decidable now was decidable, and emitted, at checkpoint time),
@@ -427,12 +427,14 @@ impl ShardCore {
             let Some(local) = core.shards.iter().position(|&s| s == scp.shard) else {
                 continue;
             };
+            // A fresh verifier receiving only inserts: the bulk path's
+            // eligibility holds by construction, so every FIB lands in one
+            // bulk load.
             let mut v = core.build_verifier(scp.shard);
             for (dev, rules) in &scp.fibs {
-                let ups: Vec<RuleUpdate> =
-                    rules.iter().map(|r| RuleUpdate::insert(*r)).collect();
-                v.ingest_unsynchronized(*dev, ups);
+                v.ingest_bulk(*dev, rules.iter().map(|r| RuleUpdate::insert(*r)).collect());
             }
+            v.manager_mut().bulk_load();
             v.merge_emitted(scp.emitted.iter().cloned());
             if !core.cfg.properties.is_empty() && !scp.synced.is_empty() {
                 // Re-marks synchronization; all reports are suppressed

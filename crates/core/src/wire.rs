@@ -563,6 +563,7 @@ impl Wire for UpdateStats {
         self.index_rebuilds.put(w);
         self.shadow_acc_blocks.put(w);
         self.shadow_trie_blocks.put(w);
+        self.map_reused_rules.put(w);
         self.engine.put(w);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -580,6 +581,7 @@ impl Wire for UpdateStats {
             index_rebuilds: u64::get(r)?,
             shadow_acc_blocks: u64::get(r)?,
             shadow_trie_blocks: u64::get(r)?,
+            map_reused_rules: u64::get(r)?,
             engine: EngineTelemetry::get(r)?,
         })
     }

@@ -18,8 +18,9 @@
 use crate::memo::{MatchMemo, DEFAULT_MATCH_MEMO_CAPACITY};
 use crate::model::InverseModel;
 use crate::mr2::{
-    build_rule_trie, calculate_atomic_overwrites, calculate_atomic_overwrites_trie,
-    cancel_updates, merge_block_and_diff, Netting,
+    atomic_overwrites, build_rule_trie, calculate_atomic_overwrites,
+    calculate_atomic_overwrites_trie, cancel_updates, merge_block_and_diff, rule_key, BulkMap,
+    Netting,
 };
 use crate::pat::{PatId, PatRemap, PatStore};
 use crate::snapshot::{EpochSnapshot, SnapshotClass, SnapshotPin};
@@ -158,6 +159,9 @@ pub struct UpdateStats {
     pub shadow_acc_blocks: u64,
     /// Device blocks mapped with per-rule trie shadows.
     pub shadow_trie_blocks: u64,
+    /// Rules whose effective predicate a bulk load took unchanged from an
+    /// earlier device's table ([`crate::mr2::BulkMap`]).
+    pub map_reused_rules: u64,
     /// Snapshot of the predicate-engine telemetry (ops, cache hit rates,
     /// node counts, GC pauses) at the time [`ModelManager::stats`] was
     /// called.
@@ -181,6 +185,7 @@ impl UpdateStats {
         self.index_rebuilds += other.index_rebuilds;
         self.shadow_acc_blocks += other.shadow_acc_blocks;
         self.shadow_trie_blocks += other.shadow_trie_blocks;
+        self.map_reused_rules += other.map_reused_rules;
         self.engine.absorb(&other.engine);
     }
 }
@@ -528,6 +533,13 @@ impl ModelManager {
     /// are mapped (only the distinct predicates stay rooted); the netting
     /// closes and the model apply runs once over the whole snapshot.
     ///
+    /// The map ([`BulkMap`]) costs what the device tables *differ* by: the
+    /// first device gets a full [`calculate_atomic_overwrites`] pass and
+    /// becomes the template; each later one takes the template's effective
+    /// predicates for the rules the two tables share and recomputes only
+    /// the rest. A device too far from the template gets the full pass and
+    /// becomes the new template.
+    ///
     /// Falls back to [`Self::flush`] — identical semantics, incremental
     /// cost — unless every buffered update is an insert targeting a
     /// device whose FIB is still absent or default-only. Bulk load is an
@@ -558,33 +570,24 @@ impl ModelManager {
         let clip = self.clip.clone();
         let layout = self.config.layout.clone();
         let mut net = Netting::new();
+        let mut map = BulkMap::default();
         for &dev in &order {
             let t0 = Instant::now();
             let mut rules = per_device.remove(&dev).expect("device in order");
-            rules.sort_by(flash_netmodel::fib::rule_cmp);
+            rules.sort_by_cached_key(rule_key);
             // `cancel_updates` nets duplicate inserts of one rule to a
             // single surviving insert; deduping exact-equal rules here
             // preserves that semantics.
             rules.dedup();
             // Keep the device's default rule (it may carry a non-drop
             // default action from `Fib::with_default`).
-            let default = match self.fibs.get(&dev) {
+            rules.push(match self.fibs.get(&dev) {
                 Some(f) => *f.rules().last().expect("fib default"),
                 None => Fib::new(&layout).rules()[0],
-            };
-            let mut full = rules.clone();
-            full.push(default);
-            let fib = Fib::from_sorted(full);
-            let atomics = calculate_atomic_overwrites(
-                &mut self.engine,
-                &layout,
-                dev,
-                &fib,
-                &rules,
-                &clip,
-                &mut self.memo,
-            );
-            self.stats.shadow_acc_blocks += 1;
+            });
+            let fib = Fib::from_sorted(rules);
+            let effective = map.map(&mut self.engine, &layout, &fib, &clip, &mut self.memo);
+            let atomics = atomic_overwrites(dev, &fib.rules()[..fib.len() - 1], effective);
             self.stats.atomic_overwrites += atomics.len() as u64;
             self.fibs.insert(dev, fib);
             // Any mirror trie was seeded from the pre-bulk (empty) FIB;
@@ -596,6 +599,8 @@ impl ModelManager {
             net.add(atomics);
             self.timings.aggregate += t1.elapsed();
         }
+        self.stats.map_reused_rules += map.reused_rules;
+        self.stats.shadow_acc_blocks += map.full_passes;
 
         let t1 = Instant::now();
         let compact = net.finish(&mut self.engine);
@@ -632,6 +637,7 @@ impl ModelManager {
         // ---- Map phase: per-device decomposition into atomic overwrites.
         let t0 = Instant::now();
         let clip = self.clip.clone();
+        let layout = self.config.layout.clone();
         let strategy = self.config.tuning.shadow_strategy;
         let maintain_trie = strategy != ShadowStrategy::Accumulated;
         let mut atomics = Vec::new();
@@ -648,7 +654,6 @@ impl ModelManager {
                     self.memo.invalidate(&u.rule.mat);
                 }
             }
-            let layout = self.config.layout.clone();
             let fib = self
                 .fibs
                 .entry(dev)
@@ -704,15 +709,15 @@ impl ModelManager {
                 ));
                 self.stats.shadow_trie_blocks += 1;
             } else {
-                atomics.extend(calculate_atomic_overwrites(
+                let effective = calculate_atomic_overwrites(
                     &mut self.engine,
                     &layout,
-                    dev,
                     fib,
                     &res.diff,
                     &clip,
                     &mut self.memo,
-                ));
+                );
+                atomics.extend(atomic_overwrites(dev, &res.diff, effective));
                 self.stats.shadow_acc_blocks += 1;
             }
         }
@@ -1400,15 +1405,15 @@ mod tests {
                 let fib = ref_fibs.entry(DeviceId(d)).or_insert_with(|| Fib::new(&layout));
                 let res = merge_block_and_diff(fib, &cancel_updates(&updates), &layout);
                 let clip = ref_engine.true_pred();
-                atomics.extend(calculate_atomic_overwrites(
+                let effective = calculate_atomic_overwrites(
                     &mut ref_engine,
                     &layout,
-                    DeviceId(d),
                     fib,
                     &res.diff,
                     &clip,
                     &mut MatchMemo::disabled(),
-                ));
+                );
+                atomics.extend(atomic_overwrites(DeviceId(d), &res.diff, effective));
             }
             let reduced = reduce_by_action(&mut ref_engine, &atomics);
             for ow in reduce_by_predicate(&reduced) {

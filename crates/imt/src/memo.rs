@@ -174,6 +174,26 @@ impl MatchMemo {
         (pred, mask)
     }
 
+    /// The cell mask of [`MatchMemo::get_or_encode_with_mask`] alone: a
+    /// hit with its mask already probed touches no predicate handle.
+    pub(crate) fn cell_mask(
+        &mut self,
+        engine: &mut PredEngine,
+        layout: &HeaderLayout,
+        mat: &Match,
+        clip: &Pred,
+    ) -> u64 {
+        if let Some(e) = self.map.get_mut(&mat.id()) {
+            if let Some(m) = e.mask {
+                self.tick += 1;
+                e.tick = self.tick;
+                self.hits += 1;
+                return m;
+            }
+        }
+        self.get_or_encode_with_mask(engine, layout, mat, clip).1
+    }
+
     /// Drops one match's entry (rule deleted: its nodes should become
     /// collectable rather than stay rooted forever).
     pub fn invalidate(&mut self, mat: &Match) {

@@ -36,7 +36,7 @@ use crate::memo::MatchMemo;
 use flash_bdd::{MixBuildHasher, Pred, PredEngine};
 use flash_netmodel::fib::{match_hash, rule_cmp};
 use flash_netmodel::{
-    ActionId, DeviceId, Fib, HeaderLayout, Rule, RuleOp, RuleTrie, RuleUpdate,
+    ActionId, DeviceId, Fib, HeaderLayout, Match, Rule, RuleOp, RuleTrie, RuleUpdate,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -208,18 +208,20 @@ pub fn merge_block_and_diff(
 /// for a whole-network model. `memo` caches the clipped match predicates
 /// across blocks (pass [`MatchMemo::disabled`] for one-shot callers).
 ///
-/// Returns the atomic overwrites for this device. The complementary
-/// "no-overwrite" predicate of Algorithm 1 (L43) stays implicit: the
-/// model's cross product leaves untouched header space in place.
+/// Returns one predicate per rule of `diff`, in order, empty ones
+/// included: [`atomic_overwrites`] turns them into this device's atomic
+/// overwrites, and the [`BulkMap`] keeps them whole as its template.
+/// The complementary "no-overwrite" predicate of Algorithm 1 (L43) stays
+/// implicit: the model's cross product leaves untouched header space in
+/// place.
 pub fn calculate_atomic_overwrites(
     engine: &mut PredEngine,
     layout: &HeaderLayout,
-    device: DeviceId,
     fib: &Fib,
     diff: &[Rule],
     clip: &Pred,
     memo: &mut MatchMemo,
-) -> Vec<AtomicOverwrite> {
+) -> Vec<Pred> {
     let rules = fib.rules();
     let mut out = Vec::with_capacity(diff.len());
     let mut p = engine.false_pred(); // accumulated union of higher-priority matches
@@ -252,24 +254,250 @@ pub fn calculate_atomic_overwrites(
             "expanding rule must be present in R'"
         );
         let (m, m_mask) = memo.get_or_encode_with_mask(engine, layout, &rd.mat, clip);
-        let eff = if m_mask & p_mask == 0 {
+        out.push(if m_mask & p_mask == 0 {
             engine.diff_assuming_disjoint(&m, &p)
         } else {
             engine.diff(&m, &p)
-        };
-        if !eff.is_false() {
-            out.push(AtomicOverwrite {
-                pred: eff,
-                device,
-                action: rd.action,
-            });
-        }
+        });
         // NOTE: rd itself is NOT folded into p here; only rules strictly
         // above the *next* diff rule are, which the cursor handles since
         // rd sorts before the next diff entry and will be consumed by the
         // while loop on the next iteration.
     }
     out
+}
+
+/// Pairs the rules of `diff` with their effective predicates (as
+/// [`calculate_atomic_overwrites`] returns them) and drops the empty
+/// ones: the atomic overwrites of `device`.
+pub fn atomic_overwrites(
+    device: DeviceId,
+    diff: &[Rule],
+    effective: Vec<Pred>,
+) -> Vec<AtomicOverwrite> {
+    diff.iter()
+        .zip(effective)
+        .filter(|(_, pred)| !pred.is_false())
+        .map(|(r, pred)| AtomicOverwrite { pred, device, action: r.action })
+        .collect()
+}
+
+/// Overlap checks the template pass may spend per rule of a device before
+/// a full pass is the cheaper way to map it.
+const REUSE_CHECKS_PER_RULE: usize = 64;
+
+/// A rule's slot in the total order, actions ignored.
+type SlotKey = (std::cmp::Reverse<i64>, u64);
+
+fn slot_key(r: &Rule) -> SlotKey {
+    (std::cmp::Reverse(r.priority), match_hash(&r.mat))
+}
+
+/// The key [`rule_cmp`] orders by, for sorting a whole table with one
+/// match-hash lookup per rule instead of two per comparison.
+pub(crate) fn rule_key(r: &Rule) -> (SlotKey, ActionId) {
+    (slot_key(r), r.action)
+}
+
+/// Where a slot of the merged device and template tables puts a rule.
+enum Slot {
+    /// Device rule `.0` holds the same match and priority, alone in its
+    /// slot, as template rule `.1`.
+    Shared(usize, usize),
+    /// Device rule only.
+    Added(usize),
+    /// Template rule only.
+    Removed(usize),
+}
+
+/// The bulk map: device tables mapped one after another, each in
+/// proportion to how much it differs from the last table mapped in full.
+///
+/// An effective predicate `eff(x) = x.m ∧ ¬⋃above(x)` depends on the
+/// table's sorted `(match, priority)` list and not on its actions, and
+/// adding or removing a rule `d` above `x` changes `eff(x)` only inside
+/// `d.m ∩ x.m` — the law [`merge_block_and_diff`] relies on too. So the
+/// map keeps a *template*: the last table it mapped with a full
+/// [`calculate_atomic_overwrites`] pass, with every rule's effective
+/// predicate, empty ones included. A later table takes the template's
+/// predicate for each rule the two share and recomputes only the rest
+/// (`MapTemplate::reuse`); a table too far from the template gets the
+/// full pass and becomes the new template. In a fat tree every core and
+/// aggregation switch holds the same list, and a ToR the same list minus
+/// its own prefixes, so nearly every predicate is computed once.
+#[derive(Default)]
+pub struct BulkMap {
+    template: Option<MapTemplate>,
+    /// Rules whose effective predicate was taken from the template.
+    pub reused_rules: u64,
+    /// Tables mapped with a full pass.
+    pub full_passes: u64,
+}
+
+impl BulkMap {
+    /// The effective predicate of every rule of `fib` but its default, in
+    /// order, empty ones included — the same nodes a full
+    /// [`calculate_atomic_overwrites`] pass over the whole table returns.
+    pub fn map(
+        &mut self,
+        engine: &mut PredEngine,
+        layout: &HeaderLayout,
+        fib: &Fib,
+        clip: &Pred,
+        memo: &mut MatchMemo,
+    ) -> Vec<Pred> {
+        let table = &fib.rules()[..fib.len() - 1];
+        let reused = self
+            .template
+            .as_ref()
+            .and_then(|t| t.reuse(engine, layout, table, clip, memo));
+        if let Some((effective, n)) = reused {
+            self.reused_rules += n as u64;
+            return effective;
+        }
+        let effective = calculate_atomic_overwrites(engine, layout, fib, table, clip, memo);
+        self.full_passes += 1;
+        self.template = Some(MapTemplate {
+            rules: table.to_vec(),
+            keys: table.iter().map(slot_key).collect(),
+            effective: effective.clone(),
+        });
+        effective
+    }
+}
+
+/// A table the bulk map computed in full (default rule excluded), its
+/// rules' slot keys, and one effective predicate per rule.
+struct MapTemplate {
+    rules: Vec<Rule>,
+    keys: Vec<SlotKey>,
+    effective: Vec<Pred>,
+}
+
+impl MapTemplate {
+    /// The effective predicates of `rules` — a device's table sorted by
+    /// [`rule_cmp`], default rule excluded — and how many of them were
+    /// taken from the template. `None` when the tables differ too much for
+    /// reuse to pay: more changed rules than `rules`, or more overlap
+    /// checks than [`REUSE_CHECKS_PER_RULE`] per rule. The caller then
+    /// runs the full pass.
+    ///
+    /// The two tables merge by slot (`(priority, match hash)`, actions
+    /// ignored). The changed rules are those in only one table, and every
+    /// rule of a slot that holds two rules in either table: ties inside
+    /// such a slot are broken by action, so their order is not shared. A
+    /// rule in both keeps the template's predicate unless a changed rule
+    /// sorting above it may overlap it (cell masks first, then
+    /// [`Match::may_overlap`](flash_netmodel::Match::may_overlap)). The
+    /// device-only rules and the shared rules that fail that test are
+    /// recomputed with one `diff_or` against the device's own higher rules
+    /// that may overlap them. Predicates are canonical, so every entry is
+    /// the node a full pass would return.
+    fn reuse(
+        &self,
+        engine: &mut PredEngine,
+        layout: &HeaderLayout,
+        rules: &[Rule],
+        clip: &Pred,
+        memo: &mut MatchMemo,
+    ) -> Option<(Vec<Pred>, usize)> {
+        let (slots, changed) = self.merge(rules)?;
+        if changed == 0 {
+            // The same slots in the same order.
+            return Some((self.effective.clone(), rules.len()));
+        }
+
+        let mut cells_of =
+            |engine: &mut PredEngine, r: &Rule| memo.cell_mask(engine, layout, &r.mat, clip);
+        let cells: Vec<u64> = rules.iter().map(|r| cells_of(engine, r)).collect();
+        let budget = REUSE_CHECKS_PER_RULE * rules.len();
+        let mut checks = 0usize;
+        let mut effective: Vec<Option<Pred>> = vec![None; rules.len()];
+        let mut reused = 0usize;
+        let mut recompute: Vec<usize> = Vec::new();
+        // The changed rules met so far, and the union of their cells.
+        let mut above: Vec<(Match, u64)> = Vec::new();
+        let mut above_cells = 0u64;
+        for s in slots {
+            let (changed, changed_cells) = match s {
+                Slot::Shared(i, j) => {
+                    let x = &rules[i];
+                    let hit = cells[i] & above_cells != 0 && {
+                        checks += above.len();
+                        above
+                            .iter()
+                            .any(|(m, c)| c & cells[i] != 0 && m.may_overlap(&x.mat, layout))
+                    };
+                    if hit {
+                        recompute.push(i);
+                    } else {
+                        effective[i] = Some(self.effective[j].clone());
+                        reused += 1;
+                    }
+                    if checks > budget {
+                        return None;
+                    }
+                    continue;
+                }
+                Slot::Added(i) => {
+                    recompute.push(i);
+                    (&rules[i], cells[i])
+                }
+                Slot::Removed(j) => (&self.rules[j], cells_of(engine, &self.rules[j])),
+            };
+            above.push((changed.mat, changed_cells));
+            above_cells |= changed_cells;
+        }
+        if checks + recompute.iter().sum::<usize>() > budget {
+            return None;
+        }
+
+        for i in recompute {
+            let x = &rules[i];
+            let m = memo.get_or_encode(engine, layout, &x.mat, clip);
+            let shadows: Vec<Pred> = rules[..i]
+                .iter()
+                .zip(&cells)
+                .filter(|(r, c)| *c & cells[i] != 0 && r.mat.may_overlap(&x.mat, layout))
+                .map(|(r, _)| memo.get_or_encode(engine, layout, &r.mat, clip))
+                .collect();
+            effective[i] = Some(engine.diff_or(&m, &shadows));
+        }
+        let effective = effective.into_iter().map(|p| p.expect("every rule mapped"));
+        Some((effective.collect(), reused))
+    }
+
+    /// Merges `rules` against the template by slot, counting the changed
+    /// rules; `None` when there are more of them than `rules` holds.
+    fn merge(&self, rules: &[Rule]) -> Option<(Vec<Slot>, usize)> {
+        let keys: Vec<SlotKey> = rules.iter().map(slot_key).collect();
+        let run = |keys: &[SlotKey], from: usize, key: SlotKey| {
+            from + keys[from..].iter().take_while(|k| **k == key).count()
+        };
+        let mut slots = Vec::with_capacity(rules.len());
+        let (mut i, mut j, mut changed) = (0, 0, 0);
+        while i < keys.len() || j < self.keys.len() {
+            let key = match (keys.get(i), self.keys.get(j)) {
+                (Some(&a), Some(&b)) => a.min(b),
+                (Some(&a), None) => a,
+                (None, Some(&b)) => b,
+                (None, None) => unreachable!(),
+            };
+            let (i2, j2) = (run(&keys, i, key), run(&self.keys, j, key));
+            if i2 == i + 1 && j2 == j + 1 && rules[i].mat == self.rules[j].mat {
+                slots.push(Slot::Shared(i, j));
+            } else {
+                slots.extend((i..i2).map(Slot::Added));
+                slots.extend((j..j2).map(Slot::Removed));
+                changed += (i2 - i) + (j2 - j);
+                if changed > rules.len() {
+                    return None;
+                }
+            }
+            (i, j) = (i2, j2);
+        }
+        Some((slots, changed))
+    }
 }
 
 /// Trie-assisted variant of [`calculate_atomic_overwrites`] (§3.4, "Fast
@@ -499,6 +727,20 @@ mod tests {
         Rule::new(Match::dst_prefix(l, val, len), prio, a)
     }
 
+    /// The accumulated map of `diff`, as atomic overwrites of `dev`.
+    fn map(
+        e: &mut PredEngine,
+        l: &HeaderLayout,
+        dev: DeviceId,
+        fib: &Fib,
+        diff: &[Rule],
+        clip: &Pred,
+    ) -> Vec<AtomicOverwrite> {
+        let effective =
+            calculate_atomic_overwrites(e, l, fib, diff, clip, &mut MatchMemo::disabled());
+        atomic_overwrites(dev, diff, effective)
+    }
+
     #[test]
     fn cancel_removes_insert_delete_pairs() {
         let l = layout();
@@ -613,9 +855,7 @@ mod tests {
         assert!(res.diff.contains(&dup), "the duplicate now owns the match");
         let mut e = PredEngine::new(8);
         let t = e.true_pred();
-        let ows = calculate_atomic_overwrites(
-            &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
-        );
+        let ows = map(&mut e, &l, DeviceId(0), &fib, &res.diff, &t);
         assert!(ows.iter().any(|o| o.action == a2 && e.sat_count(&o.pred) == 16.0));
         assert!(ows.iter().all(|o| o.action != a3), "the swapped-in rule is shadowed");
     }
@@ -742,9 +982,7 @@ mod tests {
         fib.insert(shadow).unwrap();
         let newr = rule(&l, 0xA0, 4, 5, a2); // 1010/4, shadowed on its 0xA0-0xA7 half
         let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(newr)], &l);
-        let ows = calculate_atomic_overwrites(
-            &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
-        );
+        let ows = map(&mut e, &l, DeviceId(0), &fib, &res.diff, &t);
         assert_eq!(ows.len(), 1);
         assert_eq!(e.sat_count(&ows[0].pred), 8.0); // 16 - 8 shadowed
         assert_eq!(ows[0].action, a2);
@@ -763,9 +1001,7 @@ mod tests {
         // New rule entirely inside the shadow, lower priority.
         let newr = rule(&l, 0xA8, 5, 5, a2);
         let res = merge_block_and_diff(&mut fib, &[RuleUpdate::insert(newr)], &l);
-        let ows = calculate_atomic_overwrites(
-            &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
-        );
+        let ows = map(&mut e, &l, DeviceId(0), &fib, &res.diff, &t);
         assert!(ows.is_empty());
     }
 
@@ -873,9 +1109,7 @@ mod tests {
             .map(|i| RuleUpdate::insert(rule(&l, (i * 40) & 0xE0, 3, 20 + i as i64, a9)))
             .collect();
         let res = merge_block_and_diff(&mut fib, &block, &l);
-        let acc = calculate_atomic_overwrites(
-            &mut e, &l, DeviceId(0), &fib, &res.diff, &t, &mut MatchMemo::disabled(),
-        );
+        let acc = map(&mut e, &l, DeviceId(0), &fib, &res.diff, &t);
         let trie = crate::mr2::build_rule_trie(&l, &fib);
         let via_trie = calculate_atomic_overwrites_trie(
             &mut e,
@@ -933,10 +1167,7 @@ mod tests {
         for (dev, r) in init {
             let block = vec![RuleUpdate::insert(r)];
             let res = merge_block_and_diff(&mut fibs[dev], &block, &l);
-            let ows = calculate_atomic_overwrites(
-                &mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t,
-                &mut MatchMemo::disabled(),
-            );
+            let ows = map(&mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t);
             let mut net = Netting::new();
             net.add(ows);
             let ows = net.finish(&mut e);
@@ -979,10 +1210,7 @@ mod tests {
         for (dev, block) in updates {
             let block = cancel_updates(&block);
             let res = merge_block_and_diff(&mut fibs[dev], &block, &l);
-            all_atomics.extend(calculate_atomic_overwrites(
-                &mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t,
-                &mut MatchMemo::disabled(),
-            ));
+            all_atomics.extend(map(&mut e, &l, DeviceId(dev as u32), &fibs[dev], &res.diff, &t));
         }
         // 6 native updates → 6 atomic overwrites…
         assert_eq!(all_atomics.len(), 6);

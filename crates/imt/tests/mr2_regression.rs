@@ -7,7 +7,7 @@
 
 use flash_bdd::{Pred, PredEngine};
 use flash_imt::mr2::{
-    build_rule_trie, calculate_atomic_overwrites, calculate_atomic_overwrites_trie,
+    atomic_overwrites, build_rule_trie, calculate_atomic_overwrites, calculate_atomic_overwrites_trie,
     cancel_updates, merge_block_and_diff,
 };
 use flash_imt::{AtomicOverwrite, MatchMemo};
@@ -123,22 +123,16 @@ fn kernelized_overwrites_match_binary_fold_on_random_block() {
 
     let clip: Pred = engine.true_pred();
     let want = fold_reference(&mut engine, &layout, device, &fib, &diff);
-    let got = calculate_atomic_overwrites(
-        &mut engine,
-        &layout,
-        device,
-        &fib,
-        &diff,
-        &clip,
-        &mut MatchMemo::disabled(),
-    );
+    let effective =
+        calculate_atomic_overwrites(&mut engine, &layout, &fib, &diff, &clip, &mut MatchMemo::disabled());
+    let got = atomic_overwrites(device, &diff, effective);
     assert_identical("or_many kernel", &got, &want);
 
     // And again with a live memo: the cached clipped predicates must be the
     // identical hash-consed nodes, not merely equivalent ones.
     let mut memo = MatchMemo::new(4096);
-    let got_memo =
-        calculate_atomic_overwrites(&mut engine, &layout, device, &fib, &diff, &clip, &mut memo);
+    let effective = calculate_atomic_overwrites(&mut engine, &layout, &fib, &diff, &clip, &mut memo);
+    let got_memo = atomic_overwrites(device, &diff, effective);
     assert_identical("memoized kernel", &got_memo, &want);
 
     let trie = build_rule_trie(&layout, &fib);
