@@ -21,12 +21,15 @@
 //! `flash_core::adapter`'s streaming ingest: [`load_header`] reads the
 //! (small) topology and packet-space files; [`DatasetHeader::stream_routes`]
 //! then walks the per-device route files handing each device's rules to a
-//! sink — only one device's FIB is resident at a time. Calling it once
-//! with a discarding sink builds the complete [`ActionTable`] for verifier
-//! construction; the second pass resolves actions read-only against that
-//! completed table ([`DatasetHeader::stream_routes_resolved`]), so action
-//! ids agree across the two passes by construction — which also makes the
-//! second pass partitionable: [`DatasetHeader::stream_routes_parallel`]
+//! sink in device order — two readers parse ahead through a bounded
+//! reorder window, so only a few devices' FIBs are resident at a time.
+//! Calling it once with a discarding sink builds the complete
+//! [`ActionTable`] for verifier construction, numbered exactly as one
+//! sequential reader would number it; the second pass resolves actions
+//! read-only against that completed table
+//! ([`DatasetHeader::stream_routes_resolved`]), so action ids agree
+//! across the two passes by construction — which also makes the second
+//! pass partitionable: [`DatasetHeader::stream_routes_parallel`]
 //! fans the route files out over N reader threads (each parsing and
 //! mapping its slice with only a shared `&ActionTable`) while the caller
 //! consumes devices strictly in device-id order through a bounded reorder
@@ -39,12 +42,15 @@
 use crate::fabric::{fat_tree, FatTree};
 use crate::fibgen::apsp_stream;
 use flash_netmodel::{
-    Action, ActionTable, DeviceId, FieldId, HeaderLayout, MatchKind, Rule, Topology,
+    Action, ActionId, ActionTable, DeviceId, FieldId, HeaderLayout, MatchKind, Rule, Topology,
 };
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Reader threads of the interning pass, [`DatasetHeader::stream_routes`].
+const INTERN_READERS: usize = 2;
 
 /// Dataset I/O or format failure.
 #[derive(Debug)]
@@ -412,14 +418,20 @@ pub fn load_header(dir: &Path) -> Result<DatasetHeader, DatasetError> {
 }
 
 impl DatasetHeader {
-    /// Streams every device's route file through `sink`, interning actions
-    /// into `actions` as they are first seen. Returns the total rule
-    /// count.
+    /// Streams every device's route file through `sink`, in device order,
+    /// interning actions into `actions` as they are first seen. Returns
+    /// the total rule count.
     ///
     /// Two-pass usage: call once with a discarding sink to populate the
     /// action table for verifier construction, then stream the rules with
     /// [`Self::stream_routes_resolved`] (or in parallel with
     /// [`Self::stream_routes_parallel`]) against the completed table.
+    ///
+    /// The files are parsed on two reader threads, each interning into a
+    /// table of its own and shipping, with a device's rules, the actions
+    /// that device added to it. The caller's thread renumbers those into
+    /// `actions` at their first use in device and line order, so every id
+    /// is the one a single sequential reader would assign.
     pub fn stream_routes<F>(
         &self,
         actions: &mut ActionTable,
@@ -428,13 +440,33 @@ impl DatasetHeader {
     where
         F: FnMut(DeviceId, Vec<Rule>) -> Result<(), DatasetError>,
     {
-        let mut parser = RouteParser::intern(&self.layout, &self.topo, actions);
+        // Per reader: its local action ids, each with the shared id once
+        // a rule has used it.
+        let mut ids: Vec<Vec<(Action, Option<ActionId>)>> = vec![Vec::new(); INTERN_READERS];
         let mut total = 0usize;
-        for &dev in &self.route_devices {
-            let rules = self.read_device(dev, &mut parser)?;
-            total += rules.len();
-            sink(dev, rules)?;
-        }
+        self.read_parallel(
+            INTERN_READERS,
+            |t| (t, ActionTable::new(), 0),
+            |(t, local, shipped), dev| {
+                let mut parser = RouteParser::intern(&self.layout, &self.topo, local);
+                let rules = self.read_device(dev, &mut parser)?;
+                let added: Vec<Action> = (*shipped..local.len())
+                    .map(|a| local.get(ActionId(a as u32)).clone())
+                    .collect();
+                *shipped = local.len();
+                Ok((*t, rules, added))
+            },
+            |dev, (t, mut rules, added)| {
+                let ids = &mut ids[t];
+                ids.extend(added.into_iter().map(|a| (a, None)));
+                for r in &mut rules {
+                    let (action, id) = &mut ids[r.action.0 as usize];
+                    r.action = *id.get_or_insert_with(|| actions.intern(action.clone()));
+                }
+                total += rules.len();
+                sink(dev, rules)
+            },
+        )?;
         Ok(total)
     }
 
@@ -460,16 +492,14 @@ impl DatasetHeader {
         Ok(total)
     }
 
-    /// Parallel second pass: `threads` reader threads each own the route
-    /// files of device indices `i % threads == t`, parse them with a
-    /// thread-local [`RouteParser`] (read-only action resolution against
-    /// `actions`), and run `map` on each device's rules — parse, intern,
-    /// and any routing work inside `map` for device d+1 all overlap with
-    /// the caller consuming device d. The caller's `sink` still sees
-    /// devices in strict device-id order: mapped results park in a
-    /// reorder window bounded to ~2 batches per reader, which is also the
-    /// pipeline's backpressure (readers sleep when the consumer falls
-    /// behind). `threads <= 1` degrades to the sequential resolved pass.
+    /// Parallel second pass: `threads` reader threads parse the route
+    /// files with read-only action resolution against `actions`, and run
+    /// `map` on each device's rules — parse, intern, and any routing work
+    /// inside `map` for device d+1 all overlap with the caller consuming
+    /// device d. The caller's `sink` still sees devices in strict
+    /// device-id order, through a reorder window bounded to ~2 devices
+    /// per reader that is also the readers' backpressure. `threads <= 1`
+    /// degrades to the sequential resolved pass.
     pub fn stream_routes_parallel<T, M, F>(
         &self,
         actions: &ActionTable,
@@ -482,68 +512,81 @@ impl DatasetHeader {
         M: Fn(DeviceId, Vec<Rule>) -> T + Sync,
         F: FnMut(DeviceId, T) -> Result<(), DatasetError>,
     {
-        if threads <= 1 {
-            let mut total = 0usize;
-            let mut parser = RouteParser::resolve(&self.layout, &self.topo, actions);
-            for &dev in &self.route_devices {
-                let rules = self.read_device(dev, &mut parser)?;
-                total += rules.len();
-                sink(dev, map(dev, rules))?;
-            }
-            return Ok(total);
-        }
+        let mut total = 0usize;
+        self.read_parallel(
+            threads,
+            |_| RouteParser::resolve(&self.layout, &self.topo, actions),
+            |parser, dev| {
+                let rules = self.read_device(dev, parser)?;
+                Ok((rules.len(), map(dev, rules)))
+            },
+            |dev, (count, item)| {
+                total += count;
+                sink(dev, item)
+            },
+        )?;
+        Ok(total)
+    }
 
+    /// Reads every route file on `threads` reader threads and hands each
+    /// device's `read` result to `sink` on the caller's thread, in device
+    /// order. Reader `t` owns the device indices `i % threads == t` and
+    /// keeps the state `init(t)` across them. Results park in a reorder
+    /// window bounded to ~2 devices per reader, which is also the
+    /// pipeline's backpressure (readers sleep when the consumer falls
+    /// behind). A failed read surfaces at its device's turn, after every
+    /// earlier device was sunk, as in a sequential pass; a failed read or
+    /// sink stops the readers. `threads <= 1` reads on the caller's
+    /// thread.
+    fn read_parallel<S, T, I, R, F>(
+        &self,
+        threads: usize,
+        init: I,
+        read: R,
+        mut sink: F,
+    ) -> Result<(), DatasetError>
+    where
+        T: Send,
+        I: Fn(usize) -> S + Sync,
+        R: Fn(&mut S, DeviceId) -> Result<T, DatasetError> + Sync,
+        F: FnMut(DeviceId, T) -> Result<(), DatasetError>,
+    {
+        let devices = &self.route_devices;
+        let threads = threads.min(devices.len());
+        if threads <= 1 {
+            let mut state = init(0);
+            return devices
+                .iter()
+                .try_for_each(|&dev| sink(dev, read(&mut state, dev)?));
+        }
         let window = threads * 2;
         let shared = ReorderWindow::<T>::new();
-        let devices = &self.route_devices;
-        let mut consumed = Ok(0usize);
         std::thread::scope(|scope| {
-            for t in 0..threads.min(devices.len()) {
-                let shared = &shared;
-                let map = &map;
+            for t in 0..threads {
+                let (shared, init, read) = (&shared, &init, &read);
                 scope.spawn(move || {
-                    let mut parser = RouteParser::resolve(&self.layout, &self.topo, actions);
-                    let mut i = t;
-                    while i < devices.len() {
+                    let _unwinding = Stop { window: shared, unwinding_only: true };
+                    let mut state = init(t);
+                    for i in (t..devices.len()).step_by(threads) {
                         if !shared.wait_for_slot(i, window) {
-                            return; // aborted by an error elsewhere
+                            return; // the consumer stopped
                         }
-                        let dev = devices[i];
-                        match self.read_device(dev, &mut parser) {
-                            Ok(rules) => {
-                                let count = rules.len();
-                                shared.publish(i, count, map(dev, rules));
-                            }
-                            Err(e) => {
-                                shared.fail(e);
-                                return;
-                            }
+                        let item = read(&mut state, devices[i]);
+                        let failed = item.is_err();
+                        shared.publish(i, item);
+                        if failed {
+                            return;
                         }
-                        i += threads;
                     }
                 });
             }
             // Consumer: the caller's thread drains the window in order.
-            let mut total = 0usize;
-            for (i, &dev) in devices.iter().enumerate() {
-                match shared.take(i) {
-                    Ok((count, item)) => {
-                        total += count;
-                        if let Err(e) = sink(dev, item) {
-                            shared.abort();
-                            consumed = Err(e);
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        consumed = Err(e);
-                        return;
-                    }
-                }
-            }
-            consumed = Ok(total);
-        });
-        consumed
+            let _done = Stop { window: &shared, unwinding_only: false };
+            devices
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, &dev)| sink(dev, shared.take(i)?))
+        })
     }
 
     /// Reads and parses one device's route file. The parser's scratch
@@ -586,17 +629,17 @@ impl DatasetHeader {
 }
 
 /// Bounded reorder window between parallel readers and the in-order
-/// consumer. Slot `i` holds device index `i`'s mapped batch until the
-/// consumer has emitted every earlier device.
+/// consumer. Slot `i` holds device index `i`'s read result — rules or
+/// the error that stopped its reader — until the consumer has emitted
+/// every earlier device.
 struct ReorderWindow<T> {
     state: std::sync::Mutex<ReorderState<T>>,
     cv: std::sync::Condvar,
 }
 
 struct ReorderState<T> {
-    slots: std::collections::HashMap<usize, (usize, T)>,
+    slots: std::collections::HashMap<usize, Result<T, DatasetError>>,
     next_emit: usize,
-    error: Option<DatasetError>,
     aborted: bool,
 }
 
@@ -606,7 +649,6 @@ impl<T> ReorderWindow<T> {
             state: std::sync::Mutex::new(ReorderState {
                 slots: std::collections::HashMap::new(),
                 next_emit: 0,
-                error: None,
                 aborted: false,
             }),
             cv: std::sync::Condvar::new(),
@@ -614,49 +656,56 @@ impl<T> ReorderWindow<T> {
     }
 
     /// Blocks until index `i` is within `window` of the consumer (the
-    /// backpressure bound). Returns false if the pipeline was aborted.
+    /// backpressure bound). Returns false once the consumer stopped.
     fn wait_for_slot(&self, i: usize, window: usize) -> bool {
         let mut g = self.state.lock().expect("reorder window poisoned");
-        while !g.aborted && g.error.is_none() && i >= g.next_emit + window {
+        while !g.aborted && i >= g.next_emit + window {
             g = self.cv.wait(g).expect("reorder window poisoned");
         }
-        !g.aborted && g.error.is_none()
+        !g.aborted
     }
 
-    fn publish(&self, i: usize, count: usize, item: T) {
+    fn publish(&self, i: usize, item: Result<T, DatasetError>) {
         let mut g = self.state.lock().expect("reorder window poisoned");
-        g.slots.insert(i, (count, item));
+        g.slots.insert(i, item);
         self.cv.notify_all();
     }
 
-    fn fail(&self, e: DatasetError) {
-        let mut g = self.state.lock().expect("reorder window poisoned");
-        if g.error.is_none() {
-            g.error = Some(e);
-        }
-        self.cv.notify_all();
-    }
-
+    /// Wakes every reader and the consumer for good.
     fn abort(&self) {
         let mut g = self.state.lock().expect("reorder window poisoned");
         g.aborted = true;
         self.cv.notify_all();
     }
 
-    fn take(&self, i: usize) -> Result<(usize, T), DatasetError> {
+    fn take(&self, i: usize) -> Result<T, DatasetError> {
         let mut g = self.state.lock().expect("reorder window poisoned");
         loop {
-            if let Some(e) = g.error.take() {
-                g.aborted = true;
-                self.cv.notify_all();
-                return Err(e);
-            }
             if let Some(v) = g.slots.remove(&i) {
                 g.next_emit = i + 1;
                 self.cv.notify_all();
-                return Ok(v);
+                return v;
+            }
+            if g.aborted {
+                return Err(perr("a route reader stopped"));
             }
             g = self.cv.wait(g).expect("reorder window poisoned");
+        }
+    }
+}
+
+/// Stops a [`ReorderWindow`] when dropped: the consumer's on any exit
+/// (the readers have nothing left to do), a reader's only while it
+/// unwinds (the consumer would otherwise wait for its slot forever).
+struct Stop<'a, T> {
+    window: &'a ReorderWindow<T>,
+    unwinding_only: bool,
+}
+
+impl<T> Drop for Stop<'_, T> {
+    fn drop(&mut self) {
+        if !self.unwinding_only || std::thread::panicking() {
+            self.window.abort();
         }
     }
 }
@@ -1106,6 +1155,61 @@ mod tests {
                 second.get(flash_netmodel::ActionId(i))
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interning_pass_numbers_actions_as_one_sequential_reader() {
+        let dir = tmpdir("internpass");
+        generate_fat_tree_dataset(&dir, 4, 8, 2).unwrap();
+        let mut header = load_header(&dir).unwrap();
+        // Reversed, so that each reader meets actions in another order
+        // than the device order does.
+        header.route_devices.reverse();
+        let mut reference = ActionTable::new();
+        let seq: Vec<(DeviceId, Vec<Rule>)> = {
+            let mut parser = RouteParser::intern(&header.layout, &header.topo, &mut reference);
+            let devices = header.route_devices.clone();
+            devices
+                .into_iter()
+                .map(|d| (d, header.read_device(d, &mut parser).unwrap()))
+                .collect()
+        };
+        let mut actions = ActionTable::new();
+        let mut par: Vec<(DeviceId, Vec<Rule>)> = Vec::new();
+        let total = header
+            .stream_routes(&mut actions, |d, r| {
+                par.push((d, r));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(par, seq, "same devices, same order, same rules and action ids");
+        assert_eq!(total, seq.iter().map(|(_, r)| r.len()).sum::<usize>());
+        assert!(reference.len() > 3, "the fabric has ECMP actions to renumber");
+        assert_eq!(actions.len(), reference.len());
+        for i in 0..actions.len() as u32 {
+            assert_eq!(actions.get(ActionId(i)), reference.get(ActionId(i)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interning_pass_stops_at_the_bad_file_in_device_order() {
+        let dir = tmpdir("internerr");
+        generate_fat_tree_dataset(&dir, 4, 8, 1).unwrap();
+        let header = load_header(&dir).unwrap();
+        let bad = header.route_devices[5];
+        let name = header.topo.name(bad).to_string();
+        std::fs::write(dir.join("data/routes").join(&name), "zz/8 1 drop\n").unwrap();
+        let mut seen = Vec::new();
+        let err = header
+            .stream_routes(&mut ActionTable::new(), |d, _| {
+                seen.push(d);
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(seen, header.route_devices[..5], "every device before the bad one, no later one");
+        assert!(err.to_string().contains(&format!("routes/{name}:1")), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
