@@ -44,44 +44,18 @@ impl Bdd {
 
     /// Ternary match: bit positions where `mask` is 1 must equal `value`;
     /// the rest are wildcarded. Built bottom-up in a single pass, no
-    /// intermediate Boolean operations (and none are counted). A cube
-    /// must be chained deepest-level-first, so under a non-identity
-    /// [`crate::VarOrder`] the constrained bits are sorted by physical
-    /// level before building.
+    /// intermediate Boolean operations (and none are counted).
     pub fn ternary(&mut self, offset: u32, width: u32, value: u64, mask: u64) -> NodeId {
         debug_assert!(offset + width <= self.num_vars());
-        if self.var_order().is_identity() {
-            let mut acc = TRUE;
-            // Build from the least significant (deepest variable) upward.
-            for bit_index in 0..width {
-                // bit_index 0 = LSB of the field value.
-                if (mask >> bit_index) & 1 == 0 {
-                    continue;
-                }
-                let var = offset + (width - 1 - bit_index);
-                let bit = (value >> bit_index) & 1 == 1;
-                acc = if bit {
-                    self.mk_raw(var, FALSE, acc)
-                } else {
-                    self.mk_raw(var, acc, FALSE)
-                };
-            }
-            return acc;
-        }
-        // Translate each constrained logical bit to its physical level,
-        // then chain from the deepest physical level upward.
-        let mut bits: Vec<(u32, bool)> = Vec::with_capacity(width as usize);
+        let mut acc = TRUE;
+        // Build from the least significant (deepest variable) upward.
         for bit_index in 0..width {
+            // bit_index 0 = LSB of the field value.
             if (mask >> bit_index) & 1 == 0 {
                 continue;
             }
-            let logical = offset + (width - 1 - bit_index);
-            let phys = self.var_order().phys(logical);
-            bits.push((phys, (value >> bit_index) & 1 == 1));
-        }
-        bits.sort_unstable_by_key(|&(var, _)| std::cmp::Reverse(var));
-        let mut acc = TRUE;
-        for (var, bit) in bits {
+            let var = offset + (width - 1 - bit_index);
+            let bit = (value >> bit_index) & 1 == 1;
             acc = if bit {
                 self.mk_raw(var, FALSE, acc)
             } else {

@@ -45,7 +45,6 @@
 mod encode;
 mod engine;
 mod manager;
-mod order;
 
 pub use engine::{
     EngineTelemetry, OpCounterGuard, OpKind, OpStats, Pred, PredEngine, RawPred, StaleHandle,
@@ -55,7 +54,6 @@ pub use manager::{
     Bdd, BddStats, CacheConfig, Constraint, MixBuildHasher, MixHasher, NodeId, NodeView, FALSE,
     TRUE,
 };
-pub use order::VarOrder;
 
 #[cfg(test)]
 mod tests;

@@ -358,60 +358,49 @@ fn node_view_intersects_under_partial_assignment() {
 
 /// `intersects` against enumeration: prefixes (the single-path walk),
 /// assignments with free bits above fixed ones (the DFS), and nothing
-/// fixed at all, under the identity and an interleaved variable order.
+/// fixed at all.
 #[test]
 fn node_view_intersects_matches_enumeration() {
     const BITS: u32 = 10;
-    let orders = [
-        crate::VarOrder::identity(BITS),
-        crate::VarOrder::interleaved(&[BITS / 2, BITS - BITS / 2]),
-    ];
-    for order in orders {
-        let mut eng = crate::PredEngine::with_var_order(
-            BITS,
-            usize::MAX,
-            crate::CacheConfig::default(),
-            order,
-        );
-        let mut state = 0x1A7E_85EC_u64;
-        let mut next = move |n: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % n
+    let mut eng = crate::PredEngine::with_gc_threshold(BITS, usize::MAX);
+    let mut state = 0x1A7E_85EC_u64;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    for case in 0..60 {
+        let lo = next(1 << BITS);
+        let a = eng.range(0, BITS, lo, (lo + next(300)).min((1 << BITS) - 1));
+        let b = eng.prefix(0, BITS, next(1 << BITS), 1 + next(BITS as u64) as u32);
+        let v = eng.var(next(BITS as u64) as u32);
+        let p = match case % 4 {
+            0 => a,
+            1 => eng.diff(&a, &b),
+            2 => eng.and(&b, &v),
+            _ => eng.or(&a, &v),
         };
-        for case in 0..60 {
-            let lo = next(1 << BITS);
-            let a = eng.range(0, BITS, lo, (lo + next(300)).min((1 << BITS) - 1));
-            let b = eng.prefix(0, BITS, next(1 << BITS), 1 + next(BITS as u64) as u32);
-            let v = eng.var(next(BITS as u64) as u32);
-            let p = match case % 4 {
-                0 => a,
-                1 => eng.diff(&a, &b),
-                2 => eng.and(&b, &v),
-                _ => eng.or(&a, &v),
-            };
-            let view = eng.node_view();
-            for shape in 0..6 {
-                let prefix_len = 1 + next(BITS as u64) as u32;
-                let fixed: Vec<Option<bool>> = (0..BITS)
-                    .map(|i| {
-                        let keep = match shape {
-                            0 => false,
-                            1 | 2 => i < prefix_len,
-                            _ => next(2) == 0,
-                        };
-                        keep.then(|| next(2) == 0)
-                    })
-                    .collect();
-                let want = (0..1u64 << BITS).any(|h| {
-                    let bits: Vec<bool> = (0..BITS).map(|i| (h >> (BITS - 1 - i)) & 1 == 1).collect();
-                    bits.iter().zip(&fixed).all(|(b, f)| f.is_none_or(|f| f == *b))
-                        && eng.eval(&p, &bits)
-                });
-                let got = view.intersects(eng.export(&p).node(), &view.constrain(&fixed));
-                assert_eq!(got, want, "case {case} shape {shape} under {fixed:?}");
-            }
+        let view = eng.node_view();
+        for shape in 0..6 {
+            let prefix_len = 1 + next(BITS as u64) as u32;
+            let fixed: Vec<Option<bool>> = (0..BITS)
+                .map(|i| {
+                    let keep = match shape {
+                        0 => false,
+                        1 | 2 => i < prefix_len,
+                        _ => next(2) == 0,
+                    };
+                    keep.then(|| next(2) == 0)
+                })
+                .collect();
+            let want = (0..1u64 << BITS).any(|h| {
+                let bits: Vec<bool> = (0..BITS).map(|i| (h >> (BITS - 1 - i)) & 1 == 1).collect();
+                bits.iter().zip(&fixed).all(|(b, f)| f.is_none_or(|f| f == *b))
+                    && eng.eval(&p, &bits)
+            });
+            let got = view.intersects(eng.export(&p).node(), &view.constrain(&fixed));
+            assert_eq!(got, want, "case {case} shape {shape} under {fixed:?}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Layout equivalence: the fused 16-byte slot arena must be observationally
 //! identical to a straightforward reference BDD (hash-map unique table, no
 //! computed cache, no GC) on randomized operation streams — including across
-//! forced mark-sweep collections and under a non-identity variable order.
+//! forced mark-sweep collections.
 //!
 //! Also pins the disjoint-diff kernel: `diff_assuming_disjoint` must equal
 //! `diff` whenever the operands really are disjoint, and the debug-assert
@@ -9,7 +9,7 @@
 
 #![cfg(feature = "proptest")]
 
-use flash_bdd::{CacheConfig, Pred, PredEngine, VarOrder};
+use flash_bdd::{CacheConfig, Pred, PredEngine};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -156,15 +156,15 @@ fn fingerprint(eval: impl Fn(&[bool]) -> bool) -> u64 {
     fp
 }
 
-/// Interprets `cmds` against the fused engine (with `order` and a
-/// deliberately tiny cache + GC budget) and the reference, comparing the
-/// truth-table fingerprint of every produced predicate.
-fn run_stream(cmds: &[Cmd], order: VarOrder) {
+/// Interprets `cmds` against the fused engine (with a deliberately tiny
+/// cache + GC budget) and the reference, comparing the truth-table
+/// fingerprint of every produced predicate.
+fn run_stream(cmds: &[Cmd]) {
     let tiny = CacheConfig {
         initial_capacity: 4,
         max_capacity: 16,
     };
-    let mut engine = PredEngine::with_var_order(VARS, usize::MAX, tiny, order);
+    let mut engine = PredEngine::with_config(VARS, usize::MAX, tiny);
     let mut reference = RefBdd::new();
     let mut preds: Vec<Pred> = vec![engine.false_pred(), engine.true_pred()];
     let mut refs: Vec<usize> = vec![R_FALSE, R_TRUE];
@@ -232,12 +232,7 @@ proptest! {
 
     #[test]
     fn fused_arena_matches_reference_layout(cmds in arb_cmds()) {
-        run_stream(&cmds, VarOrder::identity(VARS));
-    }
-
-    #[test]
-    fn fused_arena_matches_reference_under_interleaved_order(cmds in arb_cmds()) {
-        run_stream(&cmds, VarOrder::interleaved(&[VARS / 2, VARS - VARS / 2]));
+        run_stream(&cmds);
     }
 }
 

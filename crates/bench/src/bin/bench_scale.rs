@@ -38,7 +38,7 @@
 
 use flash_bench::{mib, peak_rss_bytes, Stats};
 use flash_core::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
-use flash_imt::{ImtTuning, SubspaceSpec};
+use flash_imt::SubspaceSpec;
 use flash_netmodel::{ActionTable, MatchTable, RuleUpdate};
 use flash_workloads::dataset;
 use std::fmt::Write as _;
@@ -236,11 +236,6 @@ fn run_verify(
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::PredEngine::gc_threshold_from_env(
-            flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        ),
-        cache: flash_bdd::CacheConfig::from_env(),
     });
     let mut per_block_ms = Stats::default();
     let topo = header.topo.clone();

@@ -962,9 +962,6 @@ require http-detour 10.0.1.0/24 from s3 path "s3 .* s1 a"
             subspace: flash_imt::SubspaceSpec::whole(),
             bst: usize::MAX,
             properties: net.properties.clone(),
-            tuning: flash_imt::ImtTuning::default(),
-            gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-            cache: flash_bdd::CacheConfig::default(),
         });
         let mut reports = Vec::new();
         for (dev, rules) in &net.fibs {

@@ -300,11 +300,6 @@ fn cmd_check(
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: header.properties.clone(),
-        tuning: flash_imt::ImtTuning::default(),
-        gc_node_threshold: flash_bdd::PredEngine::gc_threshold_from_env(
-            flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        ),
-        cache: flash_bdd::CacheConfig::from_env(),
     });
 
     // Pass 2: stream each device's FIB straight into the verifier —
@@ -668,11 +663,6 @@ fn cmd_dataset_load(
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
-        tuning: flash_imt::ImtTuning::default(),
-        gc_node_threshold: flash_bdd::PredEngine::gc_threshold_from_env(
-            flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        ),
-        cache: flash_bdd::CacheConfig::from_env(),
     });
     // Pass 2: stream rules into the verifier (ids agree with pass 1) —
     // parallel readers resolving actions read-only, feeding the

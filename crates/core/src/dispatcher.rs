@@ -103,11 +103,6 @@ impl Dispatcher {
                     subspace,
                     bst: self.config.bst,
                     properties: self.config.properties.clone(),
-                    tuning: flash_imt::ImtTuning::default(),
-                    gc_node_threshold: flash_bdd::PredEngine::gc_threshold_from_env(
-                        flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-                    ),
-                    cache: flash_bdd::CacheConfig::from_env(),
                 })
             })
             .collect();

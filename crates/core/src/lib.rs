@@ -49,9 +49,6 @@
 //!     subspace: flash_imt::SubspaceSpec::whole(),
 //!     bst: 1,
 //!     properties: vec![Property::LoopFreedom],
-//!     tuning: flash_imt::ImtTuning::default(),
-//!     gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-//!     cache: flash_bdd::CacheConfig::default(),
 //! });
 //!
 //! // a→b then b→a: a consistent loop, detected with only 2/3 devices.

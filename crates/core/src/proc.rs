@@ -204,7 +204,6 @@ impl ProcShardWorker {
                 .iter()
                 .any(|p| matches!(p, Property::LoopFreedom)),
             bst: cfg.bst as u64,
-            tuning: cfg.tuning,
             collect_class_keys: cfg.collect_class_keys,
             heartbeat_ms: (heartbeat_timeout.as_millis() as u64 / 4).max(10),
             faults,
@@ -476,7 +475,6 @@ fn core_config_from_hello(hello: &ProcHello) -> ShardCoreConfig {
         },
         bst: hello.bst as usize,
         collect_class_keys: hello.collect_class_keys,
-        tuning: hello.tuning,
     }
 }
 
@@ -694,7 +692,6 @@ mod tests {
             subspaces: vec![flash_imt::SubspaceSpec::whole()],
             loop_freedom: true,
             bst: 1,
-            tuning: flash_imt::ImtTuning::default(),
             collect_class_keys: false,
             heartbeat_ms: 100,
             faults: ChildFaults::default(),

@@ -721,7 +721,6 @@ mod tests {
             restart: crate::supervise::RestartPolicy::default(),
             collect_class_keys: false,
             faults: None,
-            tuning: flash_imt::ImtTuning::default(),
             recovery: RecoveryOptions::default(),
             query_hub: Some(Arc::clone(&hub)),
         };
@@ -919,9 +918,6 @@ mod tests {
             subspace: flash_imt::SubspaceSpec::whole(),
             bst: usize::MAX,
             properties: Vec::new(),
-            tuning: flash_imt::ImtTuning::default(),
-            gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-            cache: flash_bdd::CacheConfig::default(),
         });
         let s1 = v.manager_mut().publish_snapshot(1);
         let s5 = v.manager_mut().publish_snapshot(5);

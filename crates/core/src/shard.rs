@@ -39,7 +39,7 @@ use crate::supervise::{OutputClosed, RestartPolicy, SupervisedWorker, WorkerFaul
 use crate::verifier::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
 use crate::wire::{ShardCheckpoint, WorkerCheckpoint};
 use flash_bdd::EngineTelemetry;
-use flash_imt::{ImtTuning, SubspacePlan, UpdateStats};
+use flash_imt::{SubspacePlan, UpdateStats};
 use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, RuleUpdate, Topology};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -308,8 +308,6 @@ pub struct ShardPoolConfig {
     pub collect_class_keys: bool,
     /// Optional chaos testing: worker kills, hangs and per-batch delays.
     pub faults: Option<FaultPlan>,
-    /// Fast IMT performance knobs, passed to every shard verifier.
-    pub tuning: ImtTuning,
     /// Checkpointing, durable journaling, and process isolation.
     pub recovery: RecoveryOptions,
     /// Snapshot exchange for the concurrent query tier: when set, every
@@ -335,7 +333,6 @@ impl ShardPoolConfig {
             restart: RestartPolicy::default(),
             collect_class_keys: false,
             faults: None,
-            tuning: ImtTuning::default(),
             recovery: RecoveryOptions::default(),
             query_hub: None,
         }
@@ -352,7 +349,6 @@ impl ShardPoolConfig {
             properties: self.properties.clone(),
             bst: self.bst,
             collect_class_keys: self.collect_class_keys,
-            tuning: self.tuning,
         }
     }
 }
@@ -368,7 +364,6 @@ pub(crate) struct ShardCoreConfig {
     pub properties: Vec<Property>,
     pub bst: usize,
     pub collect_class_keys: bool,
-    pub tuning: ImtTuning,
 }
 
 /// The host-agnostic verification core of one shard worker: the warm
@@ -466,11 +461,6 @@ impl ShardCore {
             subspace: self.cfg.plan.subspaces[shard],
             bst: self.cfg.bst,
             properties: self.cfg.properties.clone(),
-            tuning: self.cfg.tuning,
-            gc_node_threshold: flash_bdd::PredEngine::gc_threshold_from_env(
-                flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-            ),
-            cache: flash_bdd::CacheConfig::from_env(),
         })
     }
 
@@ -1346,7 +1336,6 @@ mod tests {
             restart: RestartPolicy::default(),
             collect_class_keys: true,
             faults: None,
-            tuning: ImtTuning::default(),
             recovery: RecoveryOptions::default(),
             query_hub: None,
         }

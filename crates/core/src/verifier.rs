@@ -3,7 +3,7 @@
 
 use crate::error::FlashError;
 use flash_ce2d::{LoopVerdict, LoopVerifier, LoopVerifierStats, RegexVerifier, Verdict};
-use flash_imt::{ImtTuning, ModelManager, ModelManagerConfig, SubspaceSpec};
+use flash_imt::{ModelManager, ModelManagerConfig, SubspaceSpec};
 use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, RuleUpdate, Topology};
 use flash_spec::Requirement;
 use std::sync::Arc;
@@ -46,14 +46,6 @@ pub struct SubspaceVerifierConfig {
     /// Block size threshold for Fast IMT (usize::MAX = manual flushing).
     pub bst: usize,
     pub properties: Vec<Property>,
-    /// Fast IMT performance knobs, passed through to the model manager.
-    pub tuning: ImtTuning,
-    /// Live-node count that triggers engine auto-GC (`usize::MAX`
-    /// disables). `flash-cli` seeds this from `FLASH_GC_THRESHOLD`.
-    pub gc_node_threshold: usize,
-    /// Computed-cache sizing, passed through to the predicate engine.
-    /// `flash-cli` seeds this from `FLASH_CACHE_CAP`.
-    pub cache: flash_bdd::CacheConfig,
 }
 
 /// One subspace verifier: model manager + CE2D verifiers.
@@ -91,9 +83,6 @@ impl SubspaceVerifier {
             subspace: config.subspace,
             bst: config.bst,
             filter_updates: config.subspace.len > 0,
-            gc_node_threshold: config.gc_node_threshold,
-            tuning: config.tuning,
-            cache: config.cache,
         });
         let mut loop_verifier = None;
         let mut regex_verifiers = Vec::new();
@@ -310,9 +299,6 @@ mod tests {
             subspace: SubspaceSpec::whole(),
             bst: 1,
             properties,
-            tuning: ImtTuning::default(),
-            gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-            cache: flash_bdd::CacheConfig::default(),
         }
     }
 

@@ -21,11 +21,12 @@
 //! Encoding is hand-rolled — little-endian fixed-width integers,
 //! length-prefixed strings and sequences — to keep the workspace
 //! dependency-free. It is a *transport* format, not an archival one:
-//! both ends are always the same build of this crate.
+//! both ends must be the same build of this crate, which the
+//! [`PROTOCOL_VERSION`] word at the head of every [`ProcHello`] checks.
 
 use crate::verifier::PropertyReport;
 use flash_bdd::{EngineTelemetry, OpKind, OpStats};
-use flash_imt::{ImtTuning, ShadowStrategy, SubspaceSpec, UpdateStats};
+use flash_imt::{SubspaceSpec, UpdateStats};
 use flash_netmodel::{
     Action, ActionId, DeviceId, FieldId, Match, MatchKind, Rewrite, Rule, RuleOp, RuleUpdate,
 };
@@ -35,6 +36,12 @@ use std::time::Duration;
 /// Upper bound on a single frame's payload; anything larger is treated
 /// as corruption (a garbage length prefix), not a real frame.
 pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
+
+/// Version of the parent↔`flash-shardd` frame layouts, the first word of
+/// every [`ProcHello`]. Bump it whenever a frame's layout changes, so that
+/// a `flash-shardd` left over from an older build stops with a message
+/// naming both versions instead of a frame-decode error.
+pub const PROTOCOL_VERSION: u32 = 1;
 
 /// A wire-level failure: truncated input, bad tag, checksum mismatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -384,39 +391,6 @@ impl Wire for SubspaceSpec {
             field: FieldId(u32::get(r)?),
             value: u64::get(r)?,
             len: u32::get(r)?,
-        })
-    }
-}
-
-impl Wire for ShadowStrategy {
-    fn put(&self, w: &mut Vec<u8>) {
-        w.push(match self {
-            ShadowStrategy::Auto => 0,
-            ShadowStrategy::Accumulated => 1,
-            ShadowStrategy::Trie => 2,
-        });
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::get(r)? {
-            0 => ShadowStrategy::Auto,
-            1 => ShadowStrategy::Accumulated,
-            2 => ShadowStrategy::Trie,
-            t => return Err(WireError::new(format!("bad shadow tag {t}"))),
-        })
-    }
-}
-
-impl Wire for ImtTuning {
-    fn put(&self, w: &mut Vec<u8>) {
-        self.match_memo_capacity.put(w);
-        self.shadow_strategy.put(w);
-        self.class_index.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ImtTuning {
-            match_memo_capacity: usize::get(r)?,
-            shadow_strategy: ShadowStrategy::get(r)?,
-            class_index: bool::get(r)?,
         })
     }
 }
@@ -889,7 +863,6 @@ pub struct ProcHello {
     /// supports; requirement ASTs stay in-process).
     pub loop_freedom: bool,
     pub bst: u64,
-    pub tuning: ImtTuning,
     pub collect_class_keys: bool,
     /// Interval at which the child emits heartbeat frames, in ms.
     pub heartbeat_ms: u64,
@@ -898,6 +871,7 @@ pub struct ProcHello {
 
 impl Wire for ProcHello {
     fn put(&self, w: &mut Vec<u8>) {
+        PROTOCOL_VERSION.put(w);
         self.worker.put(w);
         self.shards.put(w);
         self.layout.put(w);
@@ -907,12 +881,18 @@ impl Wire for ProcHello {
         self.subspaces.put(w);
         self.loop_freedom.put(w);
         self.bst.put(w);
-        self.tuning.put(w);
         self.collect_class_keys.put(w);
         self.heartbeat_ms.put(w);
         self.faults.put(w);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let version = u32::get(r)?;
+        if version != PROTOCOL_VERSION {
+            return Err(WireError::new(format!(
+                "the parent speaks protocol version {version}, this flash-shardd \
+                 version {PROTOCOL_VERSION}: rebuild flash-shardd from the same source"
+            )));
+        }
         Ok(ProcHello {
             worker: usize::get(r)?,
             shards: Vec::get(r)?,
@@ -923,7 +903,6 @@ impl Wire for ProcHello {
             subspaces: Vec::get(r)?,
             loop_freedom: bool::get(r)?,
             bst: u64::get(r)?,
-            tuning: ImtTuning::get(r)?,
             collect_class_keys: bool::get(r)?,
             heartbeat_ms: u64::get(r)?,
             faults: ChildFaults::get(r)?,
@@ -1224,7 +1203,6 @@ mod tests {
             subspaces: vec![SubspaceSpec::whole()],
             loop_freedom: true,
             bst: u64::MAX,
-            tuning: ImtTuning::default(),
             collect_class_keys: true,
             heartbeat_ms: 200,
             faults: ChildFaults {
@@ -1233,6 +1211,17 @@ mod tests {
                 corrupt_frame: Some(1),
             },
         });
+    }
+
+    #[test]
+    fn hello_from_another_protocol_version_is_rejected() {
+        let mut payload = encode(&ProcHello::default());
+        let stale = PROTOCOL_VERSION + 1;
+        payload[..4].copy_from_slice(&stale.to_le_bytes());
+        let err = decode::<ProcHello>(&payload).unwrap_err().to_string();
+        assert!(err.contains(&format!("version {stale},")), "{err}");
+        assert!(err.contains(&format!("version {PROTOCOL_VERSION}:")), "{err}");
+        assert!(err.contains("rebuild flash-shardd"), "{err}");
     }
 
     #[test]

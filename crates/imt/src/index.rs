@@ -299,20 +299,19 @@ impl ClassIndex {
         }
     }
 
-    /// The slot of the class containing the concrete header `bits`
-    /// (logical bit order), scanning only the listings on its path.
+    /// The slot of the class containing the concrete header `bits`,
+    /// scanning only the listings on its path.
     pub(crate) fn classify(
         &self,
         engine: &PredEngine,
         classes: &[ModelEntry],
         bits: &[bool],
     ) -> Option<usize> {
-        let order = engine.var_order();
         let mut node = 0usize;
         for depth in 0..self.levels {
             let mut cell = 0usize;
             for j in 0..self.width(depth) {
-                let b = *bits.get(order.log(6 * depth as u32 + j) as usize)?;
+                let b = *bits.get(6 * depth + j as usize)?;
                 cell = (cell << 1) | b as usize;
             }
             let n = &self.nodes[node];

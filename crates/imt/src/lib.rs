@@ -34,9 +34,7 @@ pub mod pat;
 pub mod snapshot;
 pub mod subspace;
 
-pub use manager::{
-    ImtTuning, ModelManager, ModelManagerConfig, PhaseTimings, ShadowStrategy, UpdateStats,
-};
+pub use manager::{ModelManager, ModelManagerConfig, PhaseTimings, UpdateStats};
 pub use memo::MatchMemo;
 pub use model::{IndexStats, InverseModel, ModelEntry};
 pub use mr2::{AtomicOverwrite, Netting, Overwrite};

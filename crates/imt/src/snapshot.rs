@@ -106,15 +106,15 @@ impl EpochSnapshot {
         EpochSnapshot { seq, subspace, layout, view, classes, _alive: alive }
     }
 
-    /// The class containing the concrete header `bits` (logical-bit
-    /// indexed). Classes are mutually exclusive, so the first `eval` hit
+    /// The class containing the concrete header `bits` (indexed by
+    /// header bit). Classes are mutually exclusive, so the first `eval` hit
     /// is the answer; headers outside this subspace return `None`.
     pub fn classify(&self, bits: &[bool]) -> Option<&SnapshotClass> {
         self.classes.iter().find(|c| self.view.eval(c.root, bits))
     }
 
     /// Every class whose predicate intersects the partial assignment
-    /// `constraint` (logical-bit indexed, `None` = free).
+    /// `constraint` (indexed by header bit, `None` = free).
     pub fn intersecting<'a>(
         &'a self,
         constraint: &'a [Option<bool>],

@@ -66,9 +66,6 @@ fn main() {
                 dests: vec![],
             },
         ],
-        tuning: flash_imt::ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
 
     // ---- Initial data plane (Figure 2, left).

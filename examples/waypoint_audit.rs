@@ -50,9 +50,6 @@ fn main() {
             requirement,
             dests: vec![],
         }],
-        tuning: flash_imt::ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
 
     // Synchronize devices one by one, printing the first verdict.
@@ -110,9 +107,6 @@ fn main() {
             ),
             dests: vec![],
         }],
-        tuning: flash_imt::ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
     let blackhole = Rule::new(packet_space, 1_000, ACTION_DROP);
     let reports = verifier2.ingest_synchronized(src_tor, vec![RuleUpdate::insert(blackhole)]);

@@ -22,7 +22,7 @@
 
 use flash_ce2d::{LoopVerdict, LoopVerifier, RegexVerifier, Verdict};
 use flash_core::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
-use flash_imt::{ImtTuning, ModelManager, ModelManagerConfig, SubspaceSpec};
+use flash_imt::{ModelManager, ModelManagerConfig, SubspaceSpec};
 use flash_netmodel::{
     ActionTable, DeviceId, HeaderLayout, Match, Rule, RuleUpdate, Topology,
 };
@@ -203,9 +203,6 @@ fn seal_loop_reports(
         subspace: SubspaceSpec::whole(),
         bst: 1,
         properties: vec![Property::LoopFreedom],
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
     let mut synced = Vec::new();
     for (i, p) in partial.iter().enumerate() {

@@ -7,7 +7,7 @@
 //! both), so behaviours are compared by device/next-hop *names*.
 
 use flash_core::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
-use flash_imt::{ImtTuning, SubspaceSpec};
+use flash_imt::SubspaceSpec;
 use flash_netmodel::{ActionTable, RuleUpdate, Topology};
 use flash_workloads::dataset;
 use flash_workloads::{fat_tree, fibgen};
@@ -67,9 +67,6 @@ fn verify_stream(
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
     let mut reports = Vec::new();
     for (dev, rules) in blocks {

@@ -55,16 +55,15 @@ fn churn(
     (actions, out)
 }
 
-fn manager(layout: &HeaderLayout, gc_node_threshold: usize) -> ModelManager {
-    ModelManager::new(ModelManagerConfig {
+fn manager(layout: &HeaderLayout, gc_threshold: usize) -> ModelManager {
+    let mut m = ModelManager::new(ModelManagerConfig {
         layout: layout.clone(),
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         filter_updates: false,
-        gc_node_threshold,
-        tuning: Default::default(),
-        cache: flash_bdd::CacheConfig::default(),
-    })
+    });
+    m.engine_mut().set_gc_threshold(gc_threshold);
+    m
 }
 
 #[test]
@@ -141,8 +140,8 @@ fn ce2d_verifier_verdicts_survive_ten_thousand_updates_of_gc() {
         parse_path_expr("d0 .* d5").unwrap(),
     );
 
-    let run = |gc_node_threshold: usize| -> (Vec<Verdict>, flash_bdd::EngineTelemetry) {
-        let mut mgr = manager(&layout, gc_node_threshold);
+    let run = |gc_threshold: usize| -> (Vec<Verdict>, flash_bdd::EngineTelemetry) {
+        let mut mgr = manager(&layout, gc_threshold);
         let mut verifier = RegexVerifier::new(
             topo.clone(),
             actions.clone(),

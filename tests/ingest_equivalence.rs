@@ -19,7 +19,7 @@ use flash_core::adapter::{
 use flash_core::{
     Property, ShardPool, ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
 };
-use flash_imt::{ImtTuning, SubspacePlan, SubspaceSpec};
+use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{
     ActionTable, DeviceId, FieldId, HeaderLayout, Match, Rule, RuleUpdate, Topology,
 };
@@ -49,9 +49,6 @@ fn verifier(
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties,
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     })
 }
 
@@ -238,7 +235,6 @@ fn pool(
         restart: flash_core::RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,
-        tuning: ImtTuning::default(),
         recovery: Default::default(),
         query_hub: None,
     })

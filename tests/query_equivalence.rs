@@ -20,7 +20,7 @@ use flash_core::{
     AnswerKind, Property, Query, QueryAnswer, QueryHub, ShardPool, ShardPoolConfig,
     SubspaceVerifier, SubspaceVerifierConfig,
 };
-use flash_imt::{ImtTuning, SubspacePlan, SubspaceSpec};
+use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{
     ActionId, ActionTable, DeviceId, FieldId, HeaderLayout, Match, Rule, RuleUpdate,
     Topology,
@@ -179,9 +179,6 @@ fn answer_fresh(
         subspace: SubspaceSpec::whole(),
         bst: 1,
         properties: Vec::<Property>::new(),
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
     for block in stream {
         for (dev, u) in block {

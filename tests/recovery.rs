@@ -29,7 +29,7 @@ use flash_core::{
     JournalTail, KillSpec, Property, PropertyReport, RecoveryOptions, RestartPolicy, ShardMode,
     ShardPool, ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
 };
-use flash_imt::{ImtTuning, SubspacePlan, SubspaceSpec};
+use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{
     ActionTable, DeviceId, FieldId, HeaderLayout, Match, Rule, RuleUpdate, Topology,
 };
@@ -157,9 +157,6 @@ fn whole_space_reference(net: &Net, stream: &[Vec<(DeviceId, RuleUpdate)>]) -> R
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
     let mut cycles = HashSet::new();
     let mut st = RefState { cycles_by_block: Vec::new(), classes_by_block: Vec::new() };
@@ -197,7 +194,6 @@ fn base_config(net: &Net, threads: usize) -> ShardPoolConfig {
         restart: RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,
-        tuning: ImtTuning::default(),
         recovery: RecoveryOptions::default(),
         query_hub: None,
     }
@@ -482,9 +478,6 @@ fn durable_journal_is_bounded_and_checkpoint_matches_genesis_replay() {
                 subspace: plan.subspaces[scp.shard],
                 bst: usize::MAX,
                 properties: vec![Property::LoopFreedom],
-                tuning: ImtTuning::default(),
-                gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-                cache: flash_bdd::CacheConfig::default(),
             });
             for block in stream.iter().take(cp.last_seq as usize + 1) {
                 for (d, u) in block {

@@ -10,7 +10,7 @@ use flash_core::{
     Property, PropertyReport, ShardPool, ShardPoolConfig, SubspaceVerifier,
     SubspaceVerifierConfig,
 };
-use flash_imt::{ImtTuning, ShadowStrategy, SubspacePlan, SubspaceSpec};
+use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{
     ActionTable, DeviceId, FieldId, HeaderLayout, Match, Rule, RuleUpdate, Topology,
 };
@@ -125,9 +125,6 @@ fn whole_space_reference(net: &Net, stream: &[Vec<(DeviceId, RuleUpdate)>]) -> R
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
-        tuning: ImtTuning::default(),
-        gc_node_threshold: flash_bdd::DEFAULT_GC_NODE_THRESHOLD,
-        cache: flash_bdd::CacheConfig::default(),
     });
     let mut cycles = HashSet::new();
     let mut holds = false;
@@ -162,7 +159,7 @@ fn whole_space_reference(net: &Net, stream: &[Vec<(DeviceId, RuleUpdate)>]) -> R
     st
 }
 
-fn run_pool_and_compare(threads: usize, tuning: ImtTuning) {
+fn run_pool_and_compare(threads: usize) {
     let net = diamond();
     let stream = blocks(&net);
     let reference = whole_space_reference(&net, &stream);
@@ -181,7 +178,6 @@ fn run_pool_and_compare(threads: usize, tuning: ImtTuning) {
         restart: flash_core::RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,
-        tuning,
         recovery: Default::default(),
         query_hub: None,
     })
@@ -241,43 +237,15 @@ fn run_pool_and_compare(threads: usize, tuning: ImtTuning) {
 
 #[test]
 fn shard_pool_matches_whole_space_at_one_thread() {
-    run_pool_and_compare(1, ImtTuning::default());
+    run_pool_and_compare(1);
 }
 
 #[test]
 fn shard_pool_matches_whole_space_at_two_threads() {
-    run_pool_and_compare(2, ImtTuning::default());
+    run_pool_and_compare(2);
 }
 
 #[test]
 fn shard_pool_matches_whole_space_at_four_threads() {
-    run_pool_and_compare(4, ImtTuning::default());
-}
-
-/// The optimizations must be invisible: a pool with the match memo,
-/// overlap index and trie shadows all disabled must match the (fully
-/// optimized) whole-space reference verdict-for-verdict and
-/// class-for-class.
-#[test]
-fn shard_pool_matches_whole_space_with_optimizations_disabled() {
-    run_pool_and_compare(
-        2,
-        ImtTuning {
-            match_memo_capacity: 0,
-            shadow_strategy: ShadowStrategy::Accumulated,
-            class_index: false,
-        },
-    );
-}
-
-/// And with the trie path forced on for every block.
-#[test]
-fn shard_pool_matches_whole_space_with_forced_trie_shadows() {
-    run_pool_and_compare(
-        2,
-        ImtTuning {
-            shadow_strategy: ShadowStrategy::Trie,
-            ..ImtTuning::default()
-        },
-    );
+    run_pool_and_compare(4);
 }

@@ -33,9 +33,6 @@ fn subspace_models_agree_with_whole_space_model() {
                 subspace: SubspaceSpec { field: FieldId(0), value, len },
                 bst: usize::MAX,
                 filter_updates: true,
-                gc_node_threshold: usize::MAX,
-        tuning: Default::default(),
-        cache: flash_bdd::CacheConfig::default(),
             });
             for (d, u) in &seq {
                 m.submit(*d, [*u]);
@@ -84,9 +81,6 @@ fn subspace_filter_reduces_work() {
         subspace: SubspaceSpec { field: FieldId(0), value: pv, len: pl },
         bst: usize::MAX,
         filter_updates: true,
-        gc_node_threshold: usize::MAX,
-        tuning: Default::default(),
-        cache: flash_bdd::CacheConfig::default(),
     });
     for (d, u) in &seq {
         sub.submit(*d, [*u]);
@@ -141,9 +135,6 @@ fn parallel_runner_consistent_with_sequential_subspaces() {
             subspace: SubspaceSpec { field: FieldId(0), value, len },
             bst: usize::MAX,
             filter_updates: true,
-            gc_node_threshold: usize::MAX,
-        tuning: Default::default(),
-        cache: flash_bdd::CacheConfig::default(),
         });
         for (d, u) in &seq {
             m.submit(*d, [*u]);
