@@ -59,8 +59,14 @@ pub struct Overwrite {
 }
 
 /// Removes canceling updates (insert-after-delete / delete-after-insert of
-/// the identical rule) from a block. Later updates win; a cancel removes
-/// both halves of the pair. Returns the surviving updates in input order.
+/// the identical rule) from a block. A rule with `n` more inserts than
+/// deletes survives as `n` inserts, one with `n` more deletes as `n`
+/// deletes; a balanced rule drops out. The FIB that
+/// [`merge_block_and_diff`] builds from the result is the one the block
+/// leaves when applied one update at a time (where a rule inserted twice
+/// is held twice), unless a delete names a rule the FIB does not hold.
+/// Returns the surviving updates in the input order of each rule's last
+/// update.
 pub fn cancel_updates(block: &[RuleUpdate]) -> Vec<RuleUpdate> {
     // Net effect per rule in ONE pass: inserts count +1, deletes -1, and
     // each distinct rule remembers the position of its last op. `Rule` is a
@@ -77,15 +83,18 @@ pub fn cancel_updates(block: &[RuleUpdate]) -> Vec<RuleUpdate> {
         e.0 += delta;
         e.1 = pos;
     }
-    // Survivors: the final op of every rule with a non-zero net effect,
-    // re-emitted in input order.
-    let mut out: Vec<(usize, RuleUpdate)> = net
-        .into_values()
-        .filter(|&(net, _)| net != 0)
-        .map(|(_, last_pos)| (last_pos, block[last_pos]))
+    // Survivors: `|net|` copies of the op of the net effect's sign, at the
+    // rule's last position.
+    let mut out: Vec<(usize, RuleUpdate, i64)> = net
+        .into_iter()
+        .filter(|&(_, (net, _))| net != 0)
+        .map(|(rule, (net, last_pos))| {
+            let u = if net > 0 { RuleUpdate::insert(rule) } else { RuleUpdate::delete(rule) };
+            (last_pos, u, net.abs())
+        })
         .collect();
-    out.sort_unstable_by_key(|(p, _)| *p);
-    out.into_iter().map(|(_, u)| u).collect()
+    out.sort_unstable_by_key(|&(p, _, _)| p);
+    out.into_iter().flat_map(|(_, u, n)| std::iter::repeat_n(u, n as usize)).collect()
 }
 
 /// Output of the merge phase.
@@ -761,6 +770,20 @@ mod tests {
         let kept = cancel_updates(&block);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].op, RuleOp::Insert);
+        // The net effect, not the last update, survives.
+        let block = vec![
+            RuleUpdate::insert(r),
+            RuleUpdate::insert(r),
+            RuleUpdate::delete(r),
+        ];
+        assert_eq!(cancel_updates(&block), vec![RuleUpdate::insert(r)]);
+        // A rule inserted twice is held twice, as one update at a time.
+        let block = vec![RuleUpdate::insert(r), RuleUpdate::insert(r)];
+        assert_eq!(cancel_updates(&block), block);
+        let mut fib = Fib::new(&l);
+        merge_block_and_diff(&mut fib, &cancel_updates(&block), &l);
+        merge_block_and_diff(&mut fib, &[RuleUpdate::delete(r)], &l);
+        assert_eq!(fib.rules()[..fib.len() - 1], [r]);
     }
 
     #[test]
