@@ -4,9 +4,12 @@
 Usage: bench_diff.py [--threshold PCT] <baseline.json> <fresh.json>
        bench_diff.py <report.json>
 
-With two reports, prints wall-clock, total-op and op_and-call deltas per
-scenario — meant for $GITHUB_STEP_SUMMARY in the non-gating quick-bench
-CI job, but works anywhere. `--threshold PCT` (default off) flags any
+Reads the two report shapes still written: bench_scale's `scenarios`
+and bench_parallel's `runs`.
+
+With two reports, prints wall-clock and total-op deltas per scenario —
+meant for $GITHUB_STEP_SUMMARY in the non-gating quick-bench and
+scale-smoke CI jobs, but works anywhere. `--threshold PCT` (default off) flags any
 scenario whose wall clock regressed by more than PCT percent with a
 warning marker and a trailing summary line; the exit code stays 0
 either way — the table is a trend report, not a gate.
@@ -26,9 +29,8 @@ def pct(base, new):
 
 
 def scenarios_of(report):
-    """Scenario table of a report: the bench_predicates/bench_scale/
-    bench_query `scenarios` shape, or bench_parallel's `runs` (whose
-    entries carry wall_ms but no ops)."""
+    """Scenario table of a report: bench_scale's `scenarios`, or
+    bench_parallel's `runs` (whose entries carry wall_ms but no ops)."""
     return report.get("scenarios") or report.get("runs") or {}
 
 
@@ -60,13 +62,13 @@ def render_diff(base_path, fresh_path, threshold):
 
     print(f"### Bench diff: {fresh_path} vs committed {base_path}")
     print()
-    print("| scenario | wall_ms | Δwall | ops | Δops | op_and calls | Δop_and |")
-    print("|---|---|---|---|---|---|---|")
+    print("| scenario | wall_ms | Δwall | ops | Δops |")
+    print("|---|---|---|---|---|")
     regressions = []
     for name, b in base.items():
         n = fresh.get(name)
         if n is None:
-            print(f"| {name} | {b['wall_ms']:.1f} → gone | | | | | |")
+            print(f"| {name} | {b['wall_ms']:.1f} → gone | | | |")
             continue
         mark = ""
         if (
@@ -76,19 +78,16 @@ def render_diff(base_path, fresh_path, threshold):
         ):
             mark = " ⚠️"
             regressions.append((name, b["wall_ms"], n["wall_ms"]))
-        b_and = b.get("op_and", {}).get("calls", 0)
-        n_and = n.get("op_and", {}).get("calls", 0)
         print(
             f"| {name}{mark} "
             f"| {b['wall_ms']:.1f} → {n['wall_ms']:.1f} | {pct(b['wall_ms'], n['wall_ms'])} "
-            f"| {b.get('ops', 0)} → {n.get('ops', 0)} | {pct(b.get('ops', 0), n.get('ops', 0))} "
-            f"| {b_and} → {n_and} | {pct(b_and, n_and)} |"
+            f"| {b.get('ops', 0)} → {n.get('ops', 0)} | {pct(b.get('ops', 0), n.get('ops', 0))} |"
         )
     for name in fresh:
         if name not in base:
             print(
                 f"| {name} (new) | {fresh[name]['wall_ms']:.1f} | "
-                f"| {fresh[name].get('ops', 0)} | | | |"
+                f"| {fresh[name].get('ops', 0)} | |"
             )
     if threshold is not None:
         print()

@@ -539,14 +539,6 @@ impl PredEngine {
         self.next_trigger = threshold;
     }
 
-    /// Replaces the computed cache with an empty one of the given sizing
-    /// (the cache only memoizes results, so no predicate changes). Meant
-    /// for right after construction, as [`Self::set_gc_threshold`] is,
-    /// where an owner such as a model manager built the engine.
-    pub fn set_cache_config(&mut self, cache: CacheConfig) {
-        self.bdd.set_cache_config(cache);
-    }
-
     /// The GC generation: bumped by every collection. See
     /// [`PredEngine::export`] / [`PredEngine::import`].
     pub fn generation(&self) -> u64 {
@@ -1007,19 +999,6 @@ mod tests {
         assert_eq!(e.telemetry().roots_live, 1, "still held by the clone");
         drop(q);
         assert_eq!(e.telemetry().roots_live, 0);
-    }
-
-    #[test]
-    fn set_cache_config_resizes_without_changing_results() {
-        let mut e = PredEngine::new(16);
-        let p = e.range(0, 16, 100, 9000);
-        let q = e.prefix(0, 16, 0x1200, 7);
-        let before = e.and(&p, &q);
-        e.set_cache_config(CacheConfig { initial_capacity: 4, max_capacity: 4 });
-        assert_eq!(e.telemetry().cache_capacity, 4);
-        assert_eq!(e.and(&p, &q), before);
-        let t = e.telemetry();
-        assert_eq!(t.cache_capacity, 4, "growth stops at the new ceiling");
     }
 
     #[test]

@@ -791,11 +791,6 @@ impl Bdd {
         bdd
     }
 
-    /// Replaces the computed cache with an empty one of the given sizing.
-    pub(crate) fn set_cache_config(&mut self, cache: CacheConfig) {
-        self.cache = ComputedCache::new(cache);
-    }
-
     /// The single genesis site: resets the arena to exactly the two
     /// terminal slots with empty bucket chains and free list. Callers
     /// must have dropped or remapped every outstanding `NodeId` and

@@ -12,29 +12,26 @@
 //! wall time per phase, per-device block latency percentiles, peak
 //! resident memory (`VmHWM`) and match-interning statistics.
 //!
-//! `--ingest-threads N >= 1` selects the pipelined snapshot path: N
-//! reader threads parse and resolve route files in parallel
+//! Pass two is the pipelined snapshot path: `--ingest-threads N` reader
+//! threads (default: the machine's available parallelism; `0` is
+//! rejected) parse and resolve route files in parallel
 //! (`stream_routes_parallel`) while the main thread buffers them through
 //! the verifier's bulk-load fast path, sealed by one global snapshot
-//! apply + one consistent detection. `--ingest-threads 0` (default) is
-//! the legacy sequential path that flushes and re-verifies per device.
-//! The verify scenario records the parse/ingest vs seal wall split, the
-//! model manager's map / reduce / apply share of it
-//! (`ModelManager::timings()`; on the snapshot path all three run inside
-//! the seal, whose remainder — detection — is `seal_other_ms`), the
-//! share of rules whose map the bulk load reused from another device's
-//! table (`map_reuse_share`) and
-//! end-to-end rules/s either way, plus the loop verifier's `searches`
-//! and `visited_nodes` counters.
+//! apply + one consistent detection. The verify scenario records the
+//! parse/ingest vs seal wall split, the model manager's map / reduce /
+//! apply share of the seal (`ModelManager::timings()`; the remainder —
+//! detection — is `seal_other_ms`), the share of rules whose map the
+//! bulk load reused from another device's table (`map_reuse_share`),
+//! end-to-end rules/s, and the loop verifier's `searches` and
+//! `visited_nodes` counters.
 //!
-//! Defaults are the ISSUE acceptance scale: `--k 16 --prefixes 32`
-//! (320 devices, ~1.3M rules). CI's non-gating `scale-smoke` lane runs
-//! `--k 8 --ingest-threads 2`. Writes `BENCH_scale.json` in the same
-//! `{"scenarios": ...}` shape as `BENCH_predicates.json` so
-//! `ci/bench_diff.py` renders it; scenario names are prefixed `k<N>_`
-//! so entries from different scales never collide in a diff. Exit code
-//! 1 if any property is violated (a correct fat-tree StdFIB must be
-//! loop free), 2 on I/O or dataset errors.
+//! Defaults are `--k 16 --prefixes 32` (320 devices, ~1.3M rules). CI's
+//! non-gating `scale-smoke` lane runs `--k 8 --ingest-threads 2`. Writes
+//! `BENCH_scale.json` as `{"scenarios": ...}`, the shape
+//! `ci/bench_diff.py` renders; scenario names are prefixed `k<N>_` so
+//! entries from different scales never collide in a diff. Exit code 1
+//! if any property is violated (a correct fat-tree StdFIB must be loop
+//! free), 2 on bad arguments, I/O or dataset errors.
 
 use flash_bench::{mib, peak_rss_bytes, Stats};
 use flash_core::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
@@ -71,13 +68,18 @@ fn phase_json(p: &Phase) -> String {
     out
 }
 
+const USAGE: &str = "usage: bench_scale [--k N] [--hostbits N] [--prefixes N] \
+     [--ingest-threads N>=1] [--dir <path>] [--keep] [--out <path>]";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut k = 16u32;
     let mut host_bits = 8u32;
     let mut prefixes = 32u32;
     let mut keep = false;
-    let mut ingest_threads = 0usize;
+    let mut ingest_threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
     let mut dir: Option<PathBuf> = None;
     let mut out_path = "BENCH_scale.json".to_string();
     let mut i = 0;
@@ -107,11 +109,15 @@ fn main() -> ExitCode {
                 }
             }
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!("unknown argument {other:?}\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
         i += 1;
+    }
+    if ingest_threads == 0 {
+        eprintln!("--ingest-threads must be at least 1\n{USAGE}");
+        return ExitCode::from(2);
     }
     let (dir, ephemeral) = match dir {
         Some(d) => (d, false),
@@ -238,54 +244,41 @@ fn run_verify(
         properties: vec![Property::LoopFreedom],
     });
     let mut per_block_ms = Stats::default();
-    let topo = header.topo.clone();
-    let record = |report: PropertyReport, violations: &mut Vec<String>| match report {
-        PropertyReport::LoopFound { cycle } => {
-            let names: Vec<&str> = cycle.iter().map(|d| topo.name(*d)).collect();
-            violations.push(format!("loop: {}", names.join(" -> ")));
-        }
-        PropertyReport::Unsatisfied { requirement } => {
-            violations.push(format!("unsatisfied: {requirement}"));
-        }
-        _ => {}
-    };
+    // Pipelined snapshot path: readers parse + resolve in parallel, the
+    // consumer buffers through the bulk-load fast path, and one seal
+    // applies the whole snapshot + runs detection once.
     let t2 = Instant::now();
-    let (ingest_ms, seal_ms);
-    if ingest_threads >= 1 {
-        // Pipelined snapshot path: readers parse + resolve in parallel,
-        // the consumer buffers through the bulk-load fast path, and one
-        // seal applies the whole snapshot + runs detection once.
-        header.stream_routes_parallel(
-            &actions,
-            ingest_threads,
-            |_, rules| rules.into_iter().map(RuleUpdate::insert).collect::<Vec<_>>(),
-            |dev, updates| {
-                let tb = Instant::now();
-                verifier.ingest_bulk(dev, updates);
-                per_block_ms.push(tb.elapsed().as_secs_f64() * 1e3);
-                Ok(())
-            },
-        )?;
-        ingest_ms = t2.elapsed().as_secs_f64() * 1e3;
-        let ts = Instant::now();
-        for report in verifier.seal_bulk(&header.route_devices) {
-            record(report, violations);
-        }
-        seal_ms = ts.elapsed().as_secs_f64() * 1e3;
-    } else {
-        // Legacy sequential path: flush + re-verify after every device.
-        header.stream_routes_resolved(&actions, |dev, rules| {
+    header.stream_routes_parallel(
+        &actions,
+        ingest_threads,
+        |_, rules| {
+            rules
+                .into_iter()
+                .map(RuleUpdate::insert)
+                .collect::<Vec<_>>()
+        },
+        |dev, updates| {
             let tb = Instant::now();
-            let updates = rules.into_iter().map(RuleUpdate::insert).collect();
-            for report in verifier.ingest_synchronized(dev, updates) {
-                record(report, violations);
-            }
+            verifier.ingest_bulk(dev, updates);
             per_block_ms.push(tb.elapsed().as_secs_f64() * 1e3);
             Ok(())
-        })?;
-        ingest_ms = t2.elapsed().as_secs_f64() * 1e3;
-        seal_ms = 0.0;
+        },
+    )?;
+    let ingest_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let ts = Instant::now();
+    for report in verifier.seal_bulk(&header.route_devices) {
+        match report {
+            PropertyReport::LoopFound { cycle } => {
+                let names: Vec<&str> = cycle.iter().map(|d| header.topo.name(*d)).collect();
+                violations.push(format!("loop: {}", names.join(" -> ")));
+            }
+            PropertyReport::Unsatisfied { requirement } => {
+                violations.push(format!("unsatisfied: {requirement}"));
+            }
+            _ => {}
+        }
     }
+    let seal_ms = ts.elapsed().as_secs_f64() * 1e3;
     let verify_ms = t2.elapsed().as_secs_f64() * 1e3;
 
     let loops = verifier.loop_stats().unwrap_or_default();
@@ -299,7 +292,7 @@ fn run_verify(
     );
     let seal_other_ms = (seal_ms - map_ms - reduce_ms - apply_ms).max(0.0);
     // Rules whose effective predicate the bulk map took from an earlier
-    // device's table instead of computing it (0 on the sequential path).
+    // device's table instead of computing it.
     let map_reuse_share = stats.map_reused_rules as f64 / total.max(1) as f64;
     println!(
         "verified {} rules in {:.0}ms ({:.0}ms ingest + {:.0}ms seal [map {:.0} reduce {:.0} \

@@ -692,10 +692,10 @@ pub fn overhead(scale: Scale) -> OverheadReport {
 }
 
 // ---------------------------------------------------------------------
-// Small shared helpers for the benches.
+// Churn for the parallel-pipeline bench.
 // ---------------------------------------------------------------------
 
-/// A compact random single-device churn workload for micro benches.
+/// A compact random churn workload over `devices` devices (`bench_parallel`).
 pub fn churn_workload(
     layout: &HeaderLayout,
     devices: u32,

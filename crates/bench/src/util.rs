@@ -127,14 +127,6 @@ impl Stats {
         self.sorted().last().copied().unwrap_or(f64::NAN)
     }
 
-    /// `(x, F(x))` points of the empirical CDF at the given quantiles.
-    pub fn cdf_points(&self, quantiles: &[f64]) -> Vec<(f64, f64)> {
-        quantiles
-            .iter()
-            .map(|&q| (self.percentile(q), q / 100.0))
-            .collect()
-    }
-
     /// Fraction of samples ≤ x.
     pub fn fraction_below(&self, x: f64) -> f64 {
         if self.samples.is_empty() {

@@ -13,8 +13,10 @@
 //! * [`regex_verify`] — Algorithm 2: per-equivalence-class consistent
 //!   partial verification for path-regular-expression requirements,
 //!   including anycast/multicast/coverage variants (Appendix D.2).
-//! * [`loopdet`] — Algorithm 3: consistent early *loop* detection with
-//!   hyper-node compression and incremental search (§4.3, Appendix D.3).
+//! * [`loopdet`] — Algorithm 3: consistent early *loop* detection by an
+//!   incremental three-colour search over the synchronized devices (§4.3,
+//!   Appendix D.3; the paper's hyper-node compression is not built, see
+//!   the module doc).
 //! * [`mt`] — the model-traversal baseline used in Figures 12 and 18.
 
 pub mod decremental;

@@ -15,7 +15,7 @@
 //! printed. Exit code 1 when any property is violated.
 //!
 //! With `--ingest-threads N >= 1` (the default: the machine's available
-//! parallelism, or the `FLASH_INGEST_THREADS` env var), pass two runs
+//! parallelism), pass two runs
 //! the pipelined snapshot path: N reader threads parse and resolve the
 //! FIB blocks in parallel while the main thread buffers them through the
 //! bulk-load fast path, and consistent detection runs once over the
@@ -122,17 +122,11 @@ fn parse_prefix(s: &str) -> Option<(u64, u32)> {
     Some((value, len))
 }
 
-/// Resolves the ingest-thread count: explicit flag, then the
-/// `FLASH_INGEST_THREADS` environment variable, then the machine's
-/// available parallelism (the shard-pool default). `0` selects the
-/// legacy sequential per-device path.
+/// Resolves the ingest-thread count: the explicit flag, else the
+/// machine's available parallelism (the shard-pool default). `0`
+/// selects the legacy sequential per-device path.
 fn resolve_ingest_threads(flag: Option<usize>) -> usize {
-    flag.or_else(|| {
-        std::env::var("FLASH_INGEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-    .unwrap_or_else(|| {
+    flag.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)

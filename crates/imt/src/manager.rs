@@ -1335,7 +1335,7 @@ mod tests {
             }
             let reduced = reduce_by_action(&mut ref_engine, &atomics);
             for ow in reduce_by_predicate(&reduced) {
-                ref_model.apply_overwrite_linear(&mut ref_engine, &mut ref_pat, &ow);
+                ref_model.apply_overwrite(&mut ref_engine, &mut ref_pat, &ow);
             }
             drop((atomics, reduced));
 

@@ -133,7 +133,7 @@ impl InverseModel {
     }
 
     /// The index-free reference scan behind [`InverseModel::classify`].
-    pub fn classify_linear(&self, engine: &PredEngine, bits: &[bool]) -> Option<ModelEntry> {
+    fn classify_linear(&self, engine: &PredEngine, bits: &[bool]) -> Option<ModelEntry> {
         self.entries.iter().find(|e| engine.eval(&e.pred, bits)).cloned()
     }
 
@@ -163,23 +163,6 @@ impl InverseModel {
             return self.apply_overwrite_scan(engine, pat, ow);
         }
         self.apply_overwrite_indexed(engine, pat, ow)
-    }
-
-    /// The pre-index reference implementation: a full linear scan over
-    /// every class. Retained verbatim for the indexed-vs-linear
-    /// equivalence suite. Drops the index (it would go stale); callers
-    /// wanting the fast path again pay one lazy rebuild.
-    pub fn apply_overwrite_linear(
-        &mut self,
-        engine: &mut PredEngine,
-        pat: &mut PatStore,
-        ow: &Overwrite,
-    ) -> usize {
-        if ow.pred.is_false() || ow.writes.is_empty() {
-            return 0;
-        }
-        self.index = None;
-        self.apply_overwrite_scan(engine, pat, ow)
     }
 
     fn apply_overwrite_scan(

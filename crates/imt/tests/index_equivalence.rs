@@ -5,8 +5,8 @@
 //!   against a header-enumeration oracle — per device, the linear
 //!   first-match lookup over the manager's FIB — on an insert/delete
 //!   churn stream with forced mid-stream GC;
-//! * indexed [`InverseModel::apply_overwrite`] against the index-free
-//!   [`InverseModel::apply_overwrite_linear`] scan on random overwrite
+//! * indexed [`InverseModel::apply_overwrite`] against the same call on a
+//!   model with the index disabled (the linear scan) on random overwrite
 //!   streams, across forced engine collections and index rebuilds;
 //! * the class index's candidate sets against a full scan: for random
 //!   predicates they must contain every class the predicate intersects,
@@ -110,7 +110,7 @@ fn indexed_overwrites_match_linear_reference_across_collect_and_rebuild() {
             .collect();
         let ow = Overwrite { pred: p, writes };
         indexed.apply_overwrite(&mut e, &mut pat, &ow);
-        linear.apply_overwrite_linear(&mut e, &mut pat, &ow);
+        linear.apply_overwrite(&mut e, &mut pat, &ow);
 
         if step % 37 == 36 {
             e.collect();
