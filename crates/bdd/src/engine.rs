@@ -22,7 +22,7 @@
 //! result. This is safe because the engine never collects in the middle of
 //! an operation — only at handle-creation boundaries.
 
-use crate::manager::{Bdd, CacheConfig, NodeId, NodeView, FALSE, TRUE};
+use crate::manager::{Bdd, CacheConfig, MixBuildHasher, NodeId, NodeView, FALSE, TRUE};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -62,30 +62,6 @@ pub enum OpKind {
 impl OpKind {
     /// Number of distinct operation kinds (length of the tally arrays).
     pub const COUNT: usize = 7;
-
-    /// All kinds, in tally-array order.
-    pub const ALL: [OpKind; Self::COUNT] = [
-        OpKind::And,
-        OpKind::Or,
-        OpKind::Diff,
-        OpKind::Xor,
-        OpKind::Not,
-        OpKind::Exists,
-        OpKind::Rewrite,
-    ];
-
-    /// Short human-readable name, for telemetry tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::And => "and",
-            OpKind::Or => "or",
-            OpKind::Diff => "diff",
-            OpKind::Xor => "xor",
-            OpKind::Not => "not",
-            OpKind::Exists => "exists",
-            OpKind::Rewrite => "rewrite",
-        }
-    }
 }
 
 /// Call and computed-cache counters for one [`OpKind`].
@@ -319,9 +295,11 @@ impl RawPred {
 }
 
 /// Ref-counted root registry shared between an engine and its handles.
+/// Every `Pred` clone and drop probes it, and its keys are the engine's
+/// own node ids, so the cheap mix is enough.
 #[derive(Default)]
 struct RootSet {
-    counts: HashMap<NodeId, u32>,
+    counts: HashMap<NodeId, u32, MixBuildHasher>,
 }
 
 impl RootSet {

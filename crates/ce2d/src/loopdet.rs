@@ -23,9 +23,9 @@
 //! definition. Compression would decide none of its verdicts, so the
 //! search never leaves the synchronized devices.
 
-use flash_bdd::{Pred, PredEngine};
-use flash_imt::{InverseModel, PatId, PatStore};
-use flash_netmodel::{ActionId, ActionTable, DeviceId, Topology};
+use flash_bdd::{MixBuildHasher, Pred, PredEngine};
+use flash_imt::{InverseModel, PatStore};
+use flash_netmodel::{ActionId, ActionTable, DeviceId, Topology, ACTION_DROP};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ pub struct LoopVerifier {
 pub struct LoopVerifierStats {
     /// Depth-first searches run (one per uncoloured start per group).
     pub searches: u64,
-    /// Devices coloured by those searches; each costs one PAT lookup.
+    /// Devices coloured by those searches.
     pub visited_nodes: u64,
 }
 
@@ -117,28 +117,41 @@ impl LoopVerifier {
         if !starts.is_empty() {
             // The search only reads an EC's action vector at synchronized
             // devices, so ECs whose vectors project identically onto the
-            // synchronized set traverse the same graph. Group them and run
-            // one search per group; a found loop's ec_pred is the batched
-            // union of the whole group.
-            let synced_devs: Vec<DeviceId> = self.synchronized().collect();
-            let mut group_index: HashMap<Vec<ActionId>, usize> = HashMap::new();
-            let mut groups: Vec<(PatId, Vec<&Pred>)> = Vec::new();
+            // synchronized set traverse the same graph. Each vector is
+            // walked once, in order, into a dense device-indexed row that
+            // holds its actions at the synchronized devices and drop
+            // elsewhere: ECs with equal rows form one group, searched once
+            // over its row. A found loop's ec_pred is the batched union of
+            // the whole group.
+            let sync = &self.sync;
+            let mut row = vec![ACTION_DROP; sync.len()];
+            let mut group_index: HashMap<Vec<ActionId>, usize, MixBuildHasher> =
+                HashMap::default();
+            let mut groups: Vec<Vec<&Pred>> = Vec::new();
             for entry in model.entries() {
-                let key: Vec<ActionId> =
-                    synced_devs.iter().map(|&d| pat.get(entry.vector, d)).collect();
-                match group_index.get(&key) {
-                    Some(&i) => groups[i].1.push(&entry.pred),
+                row.fill(ACTION_DROP);
+                pat.for_each(entry.vector, &mut |d, a| {
+                    if sync.get(d.index()) == Some(&true) {
+                        row[d.index()] = a;
+                    }
+                });
+                match group_index.get(&row) {
+                    Some(&i) => groups[i].push(&entry.pred),
                     None => {
-                        group_index.insert(key, groups.len());
-                        groups.push((entry.vector, vec![&entry.pred]));
+                        group_index.insert(row.clone(), groups.len());
+                        groups.push(vec![&entry.pred]);
                     }
                 }
             }
+            let mut rows = vec![Vec::new(); groups.len()];
+            for (row, i) in group_index {
+                rows[i] = row;
+            }
 
             let mut colour = vec![WHITE; self.sync.len()];
-            for (vector, preds) in groups {
+            for (row, preds) in rows.iter().zip(groups) {
                 colour.fill(WHITE);
-                if let Some(cycle) = self.search(pat, vector, &starts, &mut colour) {
+                if let Some(cycle) = self.search(row, &starts, &mut colour) {
                     let ec_pred = if preds.len() == 1 {
                         preds[0].clone()
                     } else {
@@ -160,17 +173,17 @@ impl LoopVerifier {
     }
 
     /// One iterative three-colour DFS over the synchronized devices under
-    /// `vector`, seeded at every uncoloured start. A back edge to a grey
-    /// device closes a cycle: the stack segment from that device. Returns
-    /// the first such cycle not reported before.
+    /// a group's device-indexed `row` of actions, seeded at every
+    /// uncoloured start. A back edge to a grey device closes a cycle: the
+    /// stack segment from that device. Returns the first such cycle not
+    /// reported before.
     fn search(
         &mut self,
-        pat: &PatStore,
-        vector: PatId,
+        row: &[ActionId],
         starts: &[DeviceId],
         colour: &mut [u8],
     ) -> Option<Vec<DeviceId>> {
-        // (device, its action under `vector`, next-hop cursor)
+        // (device, its action in `row`, next-hop cursor)
         let mut stack: Vec<(DeviceId, ActionId, usize)> = Vec::new();
         for &start in starts {
             if colour[start.index()] != WHITE {
@@ -179,7 +192,7 @@ impl LoopVerifier {
             self.stats.searches += 1;
             self.stats.visited_nodes += 1;
             colour[start.index()] = GREY;
-            stack.push((start, pat.get(vector, start), 0));
+            stack.push((start, row[start.index()], 0));
             while let Some(top) = stack.last_mut() {
                 let (u, act, cursor) = *top;
                 let Some(&v) = self.actions.next_hops(act).get(cursor) else {
@@ -195,7 +208,7 @@ impl LoopVerifier {
                     WHITE => {
                         self.stats.visited_nodes += 1;
                         colour[v.index()] = GREY;
-                        stack.push((v, pat.get(vector, v), 0));
+                        stack.push((v, row[v.index()], 0));
                     }
                     GREY => {
                         let pos = stack

@@ -19,14 +19,14 @@ use crate::memo::{MatchMemo, DEFAULT_MATCH_MEMO_CAPACITY};
 use crate::model::InverseModel;
 use crate::mr2::{
     atomic_overwrites, build_rule_trie, calculate_atomic_overwrites,
-    calculate_atomic_overwrites_trie, cancel_updates, merge_block_and_diff, rule_key, BulkMap,
+    calculate_atomic_overwrites_trie, cancel_updates, merge_block_and_diff, BulkMap, MappedTable,
     Netting,
 };
 use crate::pat::{PatId, PatRemap, PatStore};
 use crate::snapshot::{EpochSnapshot, SnapshotClass, SnapshotPin};
 use crate::subspace::SubspaceSpec;
 use flash_bdd::{EngineTelemetry, Pred, PredEngine};
-use flash_netmodel::{ActionId, DeviceId, Fib, HeaderLayout, RuleOp, RuleTrie, RuleUpdate};
+use flash_netmodel::{ActionId, DeviceId, Fib, HeaderLayout, Rule, RuleOp, RuleTrie, RuleUpdate};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,7 +154,7 @@ pub struct ModelManager {
     /// diff rule) per device — the cost model's α in `|diff|·α < |table|`.
     overlap_ewma: HashMap<DeviceId, f64>,
     memo: MatchMemo,
-    pending: Vec<(DeviceId, RuleUpdate)>,
+    pending: Pending,
     timings: PhaseTimings,
     stats: UpdateStats,
     /// Memoized [`Self::class_keys`] result, keyed on the model's
@@ -198,7 +198,7 @@ impl ModelManager {
             tries: HashMap::new(),
             overlap_ewma: HashMap::new(),
             memo,
-            pending: Vec::new(),
+            pending: Pending::default(),
             timings: PhaseTimings::default(),
             stats: UpdateStats::default(),
             class_keys_cache: RefCell::new(None),
@@ -388,12 +388,12 @@ impl ModelManager {
     /// a deterministic function of the current FIB set, so re-ingesting
     /// these rules into a fresh manager reconstructs an equivalent model
     /// without serializing any predicate-engine state.
-    pub fn fib_snapshot(&self) -> Vec<(DeviceId, Vec<flash_netmodel::Rule>)> {
-        let mut out: Vec<(DeviceId, Vec<flash_netmodel::Rule>)> = self
+    pub fn fib_snapshot(&self) -> Vec<(DeviceId, Vec<Rule>)> {
+        let mut out: Vec<(DeviceId, Vec<Rule>)> = self
             .fibs
             .iter()
             .map(|(dev, fib)| {
-                let rules: Vec<flash_netmodel::Rule> = fib
+                let rules: Vec<Rule> = fib
                     .rules()
                     .iter()
                     .filter(|r| !(r.priority == i64::MIN && r.mat.is_any()))
@@ -412,7 +412,7 @@ impl ModelManager {
         let rule_bytes: usize = self
             .fibs
             .values()
-            .map(|f| f.len() * std::mem::size_of::<flash_netmodel::Rule>())
+            .map(|f| f.len() * std::mem::size_of::<Rule>())
             .sum();
         self.engine.approx_bytes()
             + self.pat.approx_bytes()
@@ -423,17 +423,8 @@ impl ModelManager {
     /// Buffers updates for a device, flushing if the BST is reached.
     /// Returns `true` when a flush happened.
     pub fn submit(&mut self, dev: DeviceId, updates: impl IntoIterator<Item = RuleUpdate>) -> bool {
-        for u in updates {
-            if self.config.filter_updates
-                && !self.config.subspace.admits(&u.rule.mat, &self.config.layout)
-            {
-                self.stats.updates_filtered += 1;
-                continue;
-            }
-            self.stats.updates_accepted += 1;
-            self.pending.push((dev, u));
-        }
-        if self.pending.len() >= self.config.bst {
+        self.submit_bulk(dev, updates);
+        if self.pending.len >= self.config.bst {
             self.flush();
             true
         } else {
@@ -443,7 +434,7 @@ impl ModelManager {
 
     /// Number of buffered (unapplied) updates.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending.len
     }
 
     /// Buffers updates for a device without ever auto-flushing — the
@@ -451,6 +442,7 @@ impl ModelManager {
     /// applies; the buffered updates are released by [`Self::bulk_load`]
     /// (snapshot fast path) or [`Self::flush`] (incremental pipeline).
     pub fn submit_bulk(&mut self, dev: DeviceId, updates: impl IntoIterator<Item = RuleUpdate>) {
+        let mut run = None;
         for u in updates {
             if self.config.filter_updates
                 && !self.config.subspace.admits(&u.rule.mat, &self.config.layout)
@@ -459,80 +451,75 @@ impl ModelManager {
                 continue;
             }
             self.stats.updates_accepted += 1;
-            self.pending.push((dev, u));
+            let i = *run.get_or_insert_with(|| self.pending.open(dev));
+            self.pending.runs[i].1.push(u);
+            self.pending.len += 1;
         }
     }
 
     /// Applies every buffered update through the bulk snapshot path:
-    /// each device's FIB is constructed in one sorted pass
-    /// ([`Fib::from_sorted`]) and its whole rule set is the MR² diff, so
-    /// the per-update merge/cancel/trie bookkeeping of [`Self::flush`] —
-    /// pure overhead when every rule is new — is skipped. Each device's
-    /// atomic overwrites are filed under their predicates as soon as they
-    /// are mapped (only the distinct predicates stay rooted); the netting
-    /// closes and the model apply runs once over the whole snapshot.
+    /// each device's whole rule set is the MR² diff, so the per-update
+    /// merge/cancel/trie bookkeeping of [`Self::flush`] — pure overhead
+    /// when every rule is new — is skipped. The netting closes and the
+    /// model apply runs once over the whole snapshot.
     ///
     /// The map ([`BulkMap`]) costs what the device tables *differ* by: the
     /// first device gets a full [`calculate_atomic_overwrites`] pass and
     /// becomes the template; each later one takes the template's effective
     /// predicates for the rules the two tables share and recomputes only
     /// the rest. A device too far from the template gets the full pass and
-    /// becomes the new template.
+    /// becomes the new template. The template orders the tables too: a
+    /// rule it holds goes to its slot's place, and only the others are
+    /// sorted. The netting files each template slot's predicate once
+    /// ([`Netting::add_mapped`]), so a rule that reuses it only appends its
+    /// write to the slot's group.
     ///
     /// Falls back to [`Self::flush`] — identical semantics, incremental
     /// cost — unless every buffered update is an insert targeting a
     /// device whose FIB is still absent or default-only. Bulk load is an
     /// optimization of the initial snapshot, never a semantic fork.
     pub fn bulk_load(&mut self) -> Vec<DeviceId> {
-        if self.pending.is_empty() {
+        if self.pending.len == 0 {
             return Vec::new();
         }
-        let eligible = self.pending.iter().all(|(dev, u)| {
-            u.op == RuleOp::Insert && self.fibs.get(dev).is_none_or(|f| f.len() == 1)
+        let eligible = self.pending.runs.iter().all(|(dev, run)| {
+            self.fibs.get(dev).is_none_or(|f| f.len() == 1)
+                && run.iter().all(|u| u.op == RuleOp::Insert)
         });
         if !eligible {
             return self.flush();
         }
         self.stats.flushes += 1;
-        let pending = std::mem::take(&mut self.pending);
-
-        let mut per_device: HashMap<DeviceId, Vec<flash_netmodel::Rule>> = HashMap::new();
-        let mut order: Vec<DeviceId> = Vec::new();
-        for (dev, u) in pending {
-            let e = per_device.entry(dev).or_default();
-            if e.is_empty() {
-                order.push(dev);
-            }
-            e.push(u.rule);
-        }
 
         let clip = self.clip.clone();
         let layout = self.config.layout.clone();
         let mut net = Netting::new();
         let mut map = BulkMap::default();
-        for &dev in &order {
+        let mut order = Vec::new();
+        for (dev, run) in self.pending.take() {
             let t0 = Instant::now();
-            let mut rules = per_device.remove(&dev).expect("device in order");
-            rules.sort_by_cached_key(rule_key);
+            let rules: Vec<Rule> = run.iter().map(|u| u.rule).collect();
+            drop(run);
             // Keep the device's default rule (it may carry a non-drop
             // default action from `Fib::with_default`).
-            rules.push(match self.fibs.get(&dev) {
+            let default = match self.fibs.get(&dev) {
                 Some(f) => *f.rules().last().expect("fib default"),
                 None => Fib::new(&layout).rules()[0],
-            });
-            let fib = Fib::from_sorted(rules);
-            let effective = map.map(&mut self.engine, &layout, &fib, &clip, &mut self.memo);
-            let atomics = atomic_overwrites(dev, &fib.rules()[..fib.len() - 1], effective);
-            self.stats.atomic_overwrites += atomics.len() as u64;
+            };
+            let MappedTable { fib, effective, new_template } =
+                map.map(&mut self.engine, &layout, &rules, default, &clip, &mut self.memo);
+            self.timings.compute_atomic += t0.elapsed();
+            let t1 = Instant::now();
+            let table = &fib.rules()[..fib.len() - 1];
+            let template = new_template.then(|| map.template());
+            self.stats.atomic_overwrites += net.add_mapped(dev, table, effective, template);
+            self.timings.aggregate += t1.elapsed();
             self.fibs.insert(dev, fib);
             // Any mirror trie was seeded from the pre-bulk (empty) FIB;
             // drop it so the first incremental block reseeds from the
             // post-bulk snapshot.
             self.tries.remove(&dev);
-            self.timings.compute_atomic += t0.elapsed();
-            let t1 = Instant::now();
-            net.add(atomics);
-            self.timings.aggregate += t1.elapsed();
+            order.push(dev);
         }
         self.stats.map_reused_rules += map.reused_rules;
         self.stats.shadow_acc_blocks += map.full_passes;
@@ -552,30 +539,20 @@ impl ModelManager {
     /// Applies all buffered updates through the MR² pipeline. Returns the
     /// devices whose FIB changed.
     pub fn flush(&mut self) -> Vec<DeviceId> {
-        if self.pending.is_empty() {
+        if self.pending.len == 0 {
             return Vec::new();
         }
         self.stats.flushes += 1;
-        let pending = std::mem::take(&mut self.pending);
-
-        // Group by device preserving arrival order.
-        let mut per_device: HashMap<DeviceId, Vec<RuleUpdate>> = HashMap::new();
-        let mut order: Vec<DeviceId> = Vec::new();
-        for (dev, u) in pending {
-            let e = per_device.entry(dev).or_default();
-            if e.is_empty() {
-                order.push(dev);
-            }
-            e.push(u);
-        }
+        let runs = self.pending.take();
+        let order: Vec<DeviceId> = runs.iter().map(|(dev, _)| *dev).collect();
 
         // ---- Map phase: per-device decomposition into atomic overwrites.
         let t0 = Instant::now();
         let clip = self.clip.clone();
         let layout = self.config.layout.clone();
         let mut atomics = Vec::new();
-        for &dev in &order {
-            let block = cancel_updates(&per_device[&dev]);
+        for (dev, updates) in runs {
+            let block = cancel_updates(&updates);
             if block.is_empty() {
                 continue;
             }
@@ -691,6 +668,34 @@ impl ModelManager {
         rename_keys(&self.fingerprint_memo, &map);
         rename_keys(&self.vector_memo, &map);
         self.pat_nodes_compacted = self.pat.node_count();
+    }
+}
+
+/// Buffered updates: one run per device, in first-arrival order.
+#[derive(Default)]
+struct Pending {
+    runs: Vec<(DeviceId, Vec<RuleUpdate>)>,
+    /// Device → its run's position in `runs`.
+    at: HashMap<DeviceId, usize>,
+    /// Updates over all runs.
+    len: usize,
+}
+
+impl Pending {
+    /// The position of `dev`'s run, opened if new.
+    fn open(&mut self, dev: DeviceId) -> usize {
+        let runs = &mut self.runs;
+        *self.at.entry(dev).or_insert_with(|| {
+            runs.push((dev, Vec::new()));
+            runs.len() - 1
+        })
+    }
+
+    /// Every run, leaving the buffer empty.
+    fn take(&mut self) -> Vec<(DeviceId, Vec<RuleUpdate>)> {
+        self.at.clear();
+        self.len = 0;
+        std::mem::take(&mut self.runs)
     }
 }
 

@@ -302,9 +302,9 @@ fn slot_key(r: &Rule) -> SlotKey {
     (std::cmp::Reverse(r.priority), match_hash(&r.mat))
 }
 
-/// The key [`rule_cmp`] orders by, for sorting a whole table with one
-/// match-hash lookup per rule instead of two per comparison.
-pub(crate) fn rule_key(r: &Rule) -> (SlotKey, ActionId) {
+/// The key [`rule_cmp`] orders by, for sorting rules with one match-hash
+/// lookup per rule instead of two per comparison.
+fn rule_key(r: &Rule) -> (SlotKey, ActionId) {
     (slot_key(r), r.action)
 }
 
@@ -317,6 +317,26 @@ enum Slot {
     Added(usize),
     /// Template rule only.
     Removed(usize),
+}
+
+/// Where [`BulkMap::map`] takes a rule's effective predicate from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Mapped {
+    /// The predicate of this slot of the template ([`BulkMap::template`]).
+    Slot(u32),
+    /// A predicate computed for this table.
+    Fresh(Pred),
+}
+
+/// One device table as [`BulkMap::map`] returns it.
+pub struct MappedTable {
+    /// The table in [`rule_cmp`] order, default rule last.
+    pub fib: Fib,
+    /// For every rule but the default, in order, where its effective
+    /// predicate comes from.
+    pub effective: Vec<Mapped>,
+    /// The map made this table its template: rule `i` is slot `i`.
+    pub new_template: bool,
 }
 
 /// The bulk map: device tables mapped one after another, each in
@@ -334,6 +354,10 @@ enum Slot {
 /// full pass and becomes the new template. In a fat tree every core and
 /// aggregation switch holds the same list, and a ToR the same list minus
 /// its own prefixes, so nearly every predicate is computed once.
+///
+/// The template also orders the tables (`MapTemplate::order`): a rule it
+/// holds goes to its template slot's place, so only the rules it lacks
+/// are sorted.
 #[derive(Default)]
 pub struct BulkMap {
     template: Option<MapTemplate>,
@@ -344,59 +368,186 @@ pub struct BulkMap {
 }
 
 impl BulkMap {
-    /// The effective predicate of every rule of `fib` but its default, in
-    /// order, empty ones included — the same nodes a full
-    /// [`calculate_atomic_overwrites`] pass over the whole table returns.
+    /// Sorts `rules` — one device's table in any order, default rule
+    /// excluded — into [`rule_cmp`] order (exactly the stable sort by
+    /// that order), appends `default` and maps every other rule: to its
+    /// template slot where the template's predicate holds, to a fresh
+    /// predicate elsewhere. Either is the node a full
+    /// [`calculate_atomic_overwrites`] pass over the sorted table returns
+    /// for the rule, empty ones included.
     pub fn map(
         &mut self,
         engine: &mut PredEngine,
         layout: &HeaderLayout,
-        fib: &Fib,
+        rules: &[Rule],
+        default: Rule,
         clip: &Pred,
         memo: &mut MatchMemo,
-    ) -> Vec<Pred> {
-        let table = &fib.rules()[..fib.len() - 1];
-        let reused = self
-            .template
-            .as_ref()
-            .and_then(|t| t.reuse(engine, layout, table, clip, memo));
+    ) -> MappedTable {
+        let (ordered, reused) = match &self.template {
+            Some(t) => {
+                let ordered = t.order(rules);
+                let reused = t.reuse(engine, layout, &ordered, clip, memo);
+                (ordered, reused)
+            }
+            None => (MapTemplate::default().order(rules), None),
+        };
+        let Ordered { mut table, keys, .. } = ordered;
+        table.push(default);
+        let fib = Fib::from_sorted(table);
         if let Some((effective, n)) = reused {
             self.reused_rules += n as u64;
-            return effective;
+            return MappedTable { fib, effective, new_template: false };
         }
-        let effective = calculate_atomic_overwrites(engine, layout, fib, table, clip, memo);
+        let table = &fib.rules()[..fib.len() - 1];
+        let effective = calculate_atomic_overwrites(engine, layout, &fib, table, clip, memo);
+        let cells = table.iter().map(|r| memo.cell_mask(engine, layout, &r.mat, clip)).collect();
         self.full_passes += 1;
-        self.template = Some(MapTemplate {
-            rules: table.to_vec(),
-            keys: table.iter().map(slot_key).collect(),
-            effective: effective.clone(),
-        });
-        effective
+        self.template = Some(MapTemplate::new(table.to_vec(), keys, cells, effective));
+        let effective = (0..table.len() as u32).map(Mapped::Slot).collect();
+        MappedTable { fib, effective, new_template: true }
+    }
+
+    /// The template's effective predicates, by slot.
+    pub fn template(&self) -> &[Pred] {
+        self.template.as_ref().map_or(&[], |t| &t.effective)
     }
 }
 
-/// A table the bulk map computed in full (default rule excluded), its
-/// rules' slot keys, and one effective predicate per rule.
+/// In [`MapTemplate::by_match`], a match the template does not hold; in
+/// `order`'s per-slot device rule, a slot no device rule took.
+const FREE: u32 = u32::MAX;
+/// In [`MapTemplate::by_match`], a match the template holds more than
+/// once or in a slot with another rule; in `order`, a slot two device
+/// rules took.
+const TAKEN: u32 = u32::MAX - 1;
+
+/// A table the bulk map computed in full (default rule excluded), with
+/// one slot key, cell mask and effective predicate per rule.
+#[derive(Default)]
 struct MapTemplate {
     rules: Vec<Rule>,
     keys: Vec<SlotKey>,
+    cells: Vec<u64>,
     effective: Vec<Pred>,
+    /// By [`MatchId`](flash_netmodel::MatchId): the slot of the template's
+    /// only rule with that match when it is alone in its slot, else
+    /// [`FREE`] or [`TAKEN`].
+    by_match: Vec<u32>,
+}
+
+/// A device table in [`rule_cmp`] order, merged against the template.
+struct Ordered {
+    table: Vec<Rule>,
+    keys: Vec<SlotKey>,
+    /// Every rule of both tables, in slot order.
+    slots: Vec<Slot>,
+    /// Rules in only one of the tables, or in a slot not shared one to one.
+    changed: usize,
 }
 
 impl MapTemplate {
-    /// The effective predicates of `rules` — a device's table sorted by
-    /// [`rule_cmp`], default rule excluded — and how many of them were
-    /// taken from the template. `None` when the tables differ too much for
-    /// reuse to pay: more changed rules than `rules`, or more overlap
+    fn new(rules: Vec<Rule>, keys: Vec<SlotKey>, cells: Vec<u64>, effective: Vec<Pred>) -> Self {
+        let mut by_match = Vec::new();
+        for (j, r) in rules.iter().enumerate() {
+            let id = r.mat.id().0 as usize;
+            if id >= by_match.len() {
+                by_match.resize(id + 1, FREE);
+            }
+            let alone = (j == 0 || keys[j - 1] != keys[j]) && keys.get(j + 1) != Some(&keys[j]);
+            by_match[id] = if by_match[id] == FREE && alone { j as u32 } else { TAKEN };
+        }
+        MapTemplate { rules, keys, cells, effective, by_match }
+    }
+
+    /// Sorts `rules` into [`rule_cmp`] order and merges them against the
+    /// template by slot (`(priority, match hash)`, actions ignored), in
+    /// one pass that reads the match table only for the rules the
+    /// template lacks.
+    ///
+    /// A rule whose match and priority the template holds alone in a slot
+    /// (a *hit*) takes that slot's place, found through `by_match`. The
+    /// other rules (*misses*) are keyed, sorted and merged in by key; their
+    /// ties are broken by input position, which is how the stable sort
+    /// breaks them, and a hit never shares a key with a miss but through a
+    /// match-hash collision, handled in place. Two hits on one slot both
+    /// become misses. So the table is exactly the stable sort by
+    /// [`rule_cmp`].
+    ///
+    /// A slot is shared when each table holds one rule there and both have
+    /// the same match; every other rule of either table is changed.
+    fn order(&self, rules: &[Rule]) -> Ordered {
+        let keyed = |i: usize| (rule_key(&rules[i]), i as u32);
+        let mut at = vec![FREE; self.rules.len()];
+        let mut misses = Vec::new();
+        for (i, r) in rules.iter().enumerate() {
+            let slot = self.by_match.get(r.mat.id().0 as usize).map(|&j| j as usize);
+            match slot.filter(|&j| self.rules.get(j).is_some_and(|t| t.priority == r.priority)) {
+                Some(j) if at[j] == FREE => at[j] = i as u32,
+                Some(j) => {
+                    if at[j] != TAKEN {
+                        misses.push(keyed(at[j] as usize));
+                        at[j] = TAKEN;
+                    }
+                    misses.push(keyed(i));
+                }
+                None => misses.push(keyed(i)),
+            }
+        }
+        misses.sort_unstable();
+
+        let n = rules.len();
+        let (mut table, mut keys) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut slots = Vec::with_capacity(n.max(self.rules.len()));
+        let (mut j, mut m, mut changed) = (0, 0, 0);
+        while j < self.keys.len() || m < misses.len() {
+            let key = match (self.keys.get(j), misses.get(m)) {
+                (Some(&a), Some(&((b, _), _))) => a.min(b),
+                (Some(&a), None) => a,
+                (None, Some(&((b, _), _))) => b,
+                (None, None) => unreachable!(),
+            };
+            let j2 = j + self.keys[j..].iter().take_while(|k| **k == key).count();
+            let m2 = m + misses[m..].iter().take_while(|((k, _), _)| *k == key).count();
+            let hit = (j2 == j + 1 && at[j] < TAKEN).then(|| at[j]);
+            let single = match hit {
+                Some(i) => (m2 == m).then_some(i),
+                None => (m2 == m + 1).then(|| misses[m].1),
+            };
+            match single {
+                Some(i) if j2 == j + 1 && rules[i as usize].mat == self.rules[j].mat => {
+                    slots.push(Slot::Shared(table.len(), j));
+                    table.push(rules[i as usize]);
+                    keys.push(key);
+                }
+                _ => {
+                    let from = table.len();
+                    table.extend(misses[m..m2].iter().map(|&(_, i)| rules[i as usize]));
+                    if let Some(i) = hit {
+                        // A match-hash collision: a miss shares the hit's key.
+                        let r = rules[i as usize];
+                        let after = misses[m..m2].partition_point(|&((_, a), x)| (a, x) < (r.action, i));
+                        table.insert(from + after, r);
+                    }
+                    keys.resize(table.len(), key);
+                    slots.extend((from..table.len()).map(Slot::Added));
+                    slots.extend((j..j2).map(Slot::Removed));
+                    changed += (table.len() - from) + (j2 - j);
+                }
+            }
+            (j, m) = (j2, m2);
+        }
+        Ordered { table, keys, slots, changed }
+    }
+
+    /// Maps an [`Ordered`] table, and counts the rules that take their
+    /// template slot. `None` when the tables differ too much for reuse to
+    /// pay: more changed rules than the table holds, or more overlap
     /// checks than [`REUSE_CHECKS_PER_RULE`] per rule. The caller then
     /// runs the full pass.
     ///
-    /// The two tables merge by slot (`(priority, match hash)`, actions
-    /// ignored). The changed rules are those in only one table, and every
-    /// rule of a slot that holds two rules in either table: ties inside
-    /// such a slot are broken by action, so their order is not shared. A
-    /// rule in both keeps the template's predicate unless a changed rule
-    /// sorting above it may overlap it (cell masks first, then
+    /// A shared rule keeps its template slot unless a changed rule sorting
+    /// above it may overlap it (cell masks first, then
     /// [`Match::may_overlap`](flash_netmodel::Match::may_overlap)). The
     /// device-only rules and the shared rules that fail that test are
     /// recomputed with one `diff_or` against the device's own higher rules
@@ -406,41 +557,45 @@ impl MapTemplate {
         &self,
         engine: &mut PredEngine,
         layout: &HeaderLayout,
-        rules: &[Rule],
+        ordered: &Ordered,
         clip: &Pred,
         memo: &mut MatchMemo,
-    ) -> Option<(Vec<Pred>, usize)> {
-        let (slots, changed) = self.merge(rules)?;
-        if changed == 0 {
+    ) -> Option<(Vec<Mapped>, usize)> {
+        let rules = &ordered.table;
+        if ordered.changed > rules.len() {
+            return None;
+        }
+        if ordered.changed == 0 {
             // The same slots in the same order.
-            return Some((self.effective.clone(), rules.len()));
+            return Some(((0..rules.len() as u32).map(Mapped::Slot).collect(), rules.len()));
         }
 
-        let mut cells_of =
-            |engine: &mut PredEngine, r: &Rule| memo.cell_mask(engine, layout, &r.mat, clip);
-        let cells: Vec<u64> = rules.iter().map(|r| cells_of(engine, r)).collect();
         let budget = REUSE_CHECKS_PER_RULE * rules.len();
         let mut checks = 0usize;
-        let mut effective: Vec<Option<Pred>> = vec![None; rules.len()];
+        // Both indexed by device rule; slots visit those in order. A rule
+        // to recompute holds `Slot(FREE)` until the recompute below.
+        let mut cells: Vec<u64> = Vec::with_capacity(rules.len());
+        let mut effective: Vec<Mapped> = Vec::with_capacity(rules.len());
         let mut reused = 0usize;
         let mut recompute: Vec<usize> = Vec::new();
         // The changed rules met so far, and the union of their cells.
         let mut above: Vec<(Match, u64)> = Vec::new();
         let mut above_cells = 0u64;
-        for s in slots {
-            let (changed, changed_cells) = match s {
+        for s in &ordered.slots {
+            let (changed, changed_cells) = match *s {
                 Slot::Shared(i, j) => {
+                    let c = self.cells[j];
+                    cells.push(c);
                     let x = &rules[i];
-                    let hit = cells[i] & above_cells != 0 && {
+                    let hit = c & above_cells != 0 && {
                         checks += above.len();
-                        above
-                            .iter()
-                            .any(|(m, c)| c & cells[i] != 0 && m.may_overlap(&x.mat, layout))
+                        above.iter().any(|(m, ac)| ac & c != 0 && m.may_overlap(&x.mat, layout))
                     };
                     if hit {
                         recompute.push(i);
+                        effective.push(Mapped::Slot(FREE));
                     } else {
-                        effective[i] = Some(self.effective[j].clone());
+                        effective.push(Mapped::Slot(j as u32));
                         reused += 1;
                     }
                     if checks > budget {
@@ -449,10 +604,13 @@ impl MapTemplate {
                     continue;
                 }
                 Slot::Added(i) => {
+                    let c = memo.cell_mask(engine, layout, &rules[i].mat, clip);
+                    cells.push(c);
                     recompute.push(i);
-                    (&rules[i], cells[i])
+                    effective.push(Mapped::Slot(FREE));
+                    (&rules[i], c)
                 }
-                Slot::Removed(j) => (&self.rules[j], cells_of(engine, &self.rules[j])),
+                Slot::Removed(j) => (&self.rules[j], self.cells[j]),
             };
             above.push((changed.mat, changed_cells));
             above_cells |= changed_cells;
@@ -461,51 +619,20 @@ impl MapTemplate {
             return None;
         }
 
+        let keys = &ordered.keys;
         for i in recompute {
             let x = &rules[i];
             let m = memo.get_or_encode(engine, layout, &x.mat, clip);
-            let shadows: Vec<Pred> = rules[..i]
-                .iter()
-                .zip(&cells)
-                .filter(|(r, c)| *c & cells[i] != 0 && r.mat.may_overlap(&x.mat, layout))
-                .map(|(r, _)| memo.get_or_encode(engine, layout, &r.mat, clip))
+            // Rules sorting strictly above `x`: a copy of `x` held twice
+            // does not shadow it, as in the full pass.
+            let shadows: Vec<Pred> = (0..i)
+                .filter(|&k| (keys[k], rules[k].action) != (keys[i], x.action))
+                .filter(|&k| cells[k] & cells[i] != 0 && rules[k].mat.may_overlap(&x.mat, layout))
+                .map(|k| memo.get_or_encode(engine, layout, &rules[k].mat, clip))
                 .collect();
-            effective[i] = Some(engine.diff_or(&m, &shadows));
+            effective[i] = Mapped::Fresh(engine.diff_or(&m, &shadows));
         }
-        let effective = effective.into_iter().map(|p| p.expect("every rule mapped"));
-        Some((effective.collect(), reused))
-    }
-
-    /// Merges `rules` against the template by slot, counting the changed
-    /// rules; `None` when there are more of them than `rules` holds.
-    fn merge(&self, rules: &[Rule]) -> Option<(Vec<Slot>, usize)> {
-        let keys: Vec<SlotKey> = rules.iter().map(slot_key).collect();
-        let run = |keys: &[SlotKey], from: usize, key: SlotKey| {
-            from + keys[from..].iter().take_while(|k| **k == key).count()
-        };
-        let mut slots = Vec::with_capacity(rules.len());
-        let (mut i, mut j, mut changed) = (0, 0, 0);
-        while i < keys.len() || j < self.keys.len() {
-            let key = match (keys.get(i), self.keys.get(j)) {
-                (Some(&a), Some(&b)) => a.min(b),
-                (Some(&a), None) => a,
-                (None, Some(&b)) => b,
-                (None, None) => unreachable!(),
-            };
-            let (i2, j2) = (run(&keys, i, key), run(&self.keys, j, key));
-            if i2 == i + 1 && j2 == j + 1 && rules[i].mat == self.rules[j].mat {
-                slots.push(Slot::Shared(i, j));
-            } else {
-                slots.extend((i..i2).map(Slot::Added));
-                slots.extend((j..j2).map(Slot::Removed));
-                changed += (i2 - i) + (j2 - j);
-                if changed > rules.len() {
-                    return None;
-                }
-            }
-            (i, j) = (i2, j2);
-        }
-        Some((slots, changed))
+        Some((effective, reused))
     }
 }
 
@@ -593,8 +720,9 @@ pub fn build_rule_trie(layout: &HeaderLayout, fib: &Fib) -> RuleTrie {
 /// the only disjunctions left are between packet sets that end up in the
 /// same class anyway.
 ///
-/// Feed it device by device ([`Netting::add`]) so that only the distinct
-/// predicates stay rooted while the map phase runs.
+/// Feed it device by device ([`Netting::add`], or [`Netting::add_mapped`]
+/// for the tables of a [`BulkMap`]) so that only the distinct predicates
+/// stay rooted while the map phase runs.
 #[derive(Default)]
 pub struct Netting {
     /// Predicate → position in `groups`. `Pred` hashes its immutable
@@ -603,6 +731,9 @@ pub struct Netting {
     index: HashMap<Pred, usize, MixBuildHasher>,
     /// One `(pred, writes)` group per distinct predicate, first seen first.
     groups: Vec<Overwrite>,
+    /// Per slot of the bulk map's current template: the group its
+    /// predicate is filed under, [`FREE`] for an empty one.
+    slots: Vec<u32>,
 }
 
 impl Netting {
@@ -613,17 +744,61 @@ impl Netting {
     /// Files every atomic overwrite under its predicate.
     pub fn add(&mut self, atomics: Vec<AtomicOverwrite>) {
         for a in atomics {
-            match self.index.get(&a.pred) {
-                Some(&i) => self.groups[i].writes.push((a.device, a.action)),
-                None => {
-                    self.index.insert(a.pred.clone(), self.groups.len());
-                    self.groups.push(Overwrite {
-                        pred: a.pred,
-                        writes: vec![(a.device, a.action)],
-                    });
-                }
+            let g = self.group(a.pred);
+            self.groups[g].writes.push((a.device, a.action));
+        }
+    }
+
+    /// Files the atomic overwrites of one device table as [`BulkMap::map`]
+    /// returned it — `table` without its default rule, `template` the
+    /// map's [`BulkMap::template`] when the map made this table its new
+    /// template — and returns how many there were (the non-empty
+    /// predicates).
+    ///
+    /// A new template's predicates are filed once per slot, and each slot
+    /// remembers its group. A rule that takes its template slot's
+    /// predicate then appends its write to that slot's group: no predicate
+    /// handle, no hash probe. Fresh predicates are filed as by
+    /// [`Netting::add`]. The groups, their order and their writes are
+    /// those `add` builds from the same tables' atomic overwrites.
+    pub fn add_mapped(
+        &mut self,
+        device: DeviceId,
+        table: &[Rule],
+        effective: Vec<Mapped>,
+        template: Option<&[Pred]>,
+    ) -> u64 {
+        if let Some(preds) = template {
+            let slots = preds
+                .iter()
+                .map(|p| if p.is_false() { FREE } else { self.group(p.clone()) as u32 })
+                .collect();
+            self.slots = slots;
+        }
+        let mut atomics = 0;
+        for (r, e) in table.iter().zip(effective) {
+            let g = match e {
+                Mapped::Slot(j) => self.slots[j as usize],
+                Mapped::Fresh(p) if p.is_false() => FREE,
+                Mapped::Fresh(p) => self.group(p) as u32,
+            };
+            if g != FREE {
+                self.groups[g as usize].writes.push((device, r.action));
+                atomics += 1;
             }
         }
+        atomics
+    }
+
+    /// The group of `pred`, opened (with no writes) if it is new.
+    fn group(&mut self, pred: Pred) -> usize {
+        if let Some(&g) = self.index.get(&pred) {
+            return g;
+        }
+        let g = self.groups.len();
+        self.index.insert(pred.clone(), g);
+        self.groups.push(Overwrite { pred, writes: Vec::new() });
+        g
     }
 
     /// Merges the groups whose write sets are identical (one batched

@@ -317,18 +317,21 @@ impl PatStore {
     /// In-order (device-ascending) enumeration of the explicit entries.
     pub fn entries(&self, t: PatId) -> Vec<(DeviceId, ActionId)> {
         let mut out = Vec::new();
-        self.walk(t, &mut out);
+        self.for_each(t, &mut |d, a| out.push((d, a)));
         out
     }
 
-    fn walk(&self, t: PatId, out: &mut Vec<(DeviceId, ActionId)>) {
+    /// Calls `f` on every explicit entry of `t`, device-ascending: one
+    /// in-order walk, O(‖t‖), where a [`PatStore::get`] per device costs
+    /// O(log ‖t‖) each.
+    pub fn for_each(&self, t: PatId, f: &mut impl FnMut(DeviceId, ActionId)) {
         if t == PAT_NIL {
             return;
         }
         let n = self.node(t);
-        self.walk(n.left, out);
-        out.push((DeviceId(n.key), ActionId(n.value)));
-        self.walk(n.right, out);
+        self.for_each(n.left, f);
+        f(DeviceId(n.key), ActionId(n.value));
+        self.for_each(n.right, f);
     }
 
     /// Builds a vector from entries (order-insensitive).

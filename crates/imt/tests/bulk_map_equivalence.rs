@@ -2,16 +2,23 @@
 //!
 //! Each family below derives device tables from one shared template table
 //! by dropping and adding rules, with per-device actions, the way routing
-//! tables of one fabric differ. For every device, the effective predicates
-//! that [`BulkMap`] returns — reused from the template where the overlap
-//! law allows, recomputed elsewhere — must be exactly the atomic
-//! overwrites a fresh `calculate_atomic_overwrites` pass computes for that
-//! device alone. And a [`ModelManager`] that bulk-loads the family must end
-//! with the class fingerprints of an incremental `flush` replay.
+//! tables of one fabric differ. For every device, the table [`BulkMap`]
+//! orders against its template must be the stable sort by `rule_cmp`, and
+//! the effective predicates it returns — reused from the template where
+//! the overlap law allows, recomputed elsewhere — must be exactly the
+//! atomic overwrites a fresh `calculate_atomic_overwrites` pass computes
+//! for that device alone. The netting of those tables through template
+//! slots must build the compact overwrites, in order, that filing every
+//! atomic overwrite builds. And a [`ModelManager`] that bulk-loads the
+//! family must end with the class fingerprints of an incremental `flush`
+//! replay.
 
 use flash_bdd::{Pred, PredEngine};
-use flash_imt::mr2::{atomic_overwrites, calculate_atomic_overwrites, BulkMap};
-use flash_imt::{MatchMemo, ModelManager, ModelManagerConfig, SubspaceSpec};
+use flash_imt::mr2::{atomic_overwrites, calculate_atomic_overwrites, BulkMap, Mapped};
+use flash_imt::{
+    InverseModel, MatchMemo, ModelManager, ModelManagerConfig, Netting, Overwrite, PatStore,
+    SubspaceSpec,
+};
 use flash_netmodel::fib::rule_cmp;
 use flash_netmodel::{
     ActionId, DeviceId, Fib, FieldId, HeaderLayout, Match, MatchKind, Rule, RuleUpdate,
@@ -164,17 +171,32 @@ fn fat_tree_family() -> Family {
     }
 }
 
+fn default_rule(layout: &HeaderLayout) -> Rule {
+    Fib::new(layout).rules()[0]
+}
+
+/// `rules` in table order: the stable sort by [`rule_cmp`], default last.
 fn sorted_fib(layout: &HeaderLayout, rules: &[Rule]) -> Fib {
     let mut rules = rules.to_vec();
     rules.sort_by(rule_cmp);
-    rules.dedup();
-    rules.push(Fib::new(layout).rules()[0]);
+    rules.push(default_rule(layout));
     Fib::from_sorted(rules)
 }
 
+/// The effective predicates of a mapped table, template slots resolved.
+fn resolve(effective: Vec<Mapped>, template: &[Pred]) -> Vec<Pred> {
+    effective
+        .into_iter()
+        .map(|e| match e {
+            Mapped::Slot(j) => template[j as usize].clone(),
+            Mapped::Fresh(p) => p,
+        })
+        .collect()
+}
+
 /// Maps every table through one [`BulkMap`] and checks each device's
-/// atomic overwrites against a fresh full pass. Returns the map's
-/// counters.
+/// table order and atomic overwrites against the stable sort and a fresh
+/// full pass. Returns the map's counters.
 fn check_map(family: &Family) -> BulkMap {
     let layout = &family.layout;
     let mut engine = PredEngine::new(layout.total_bits());
@@ -182,10 +204,15 @@ fn check_map(family: &Family) -> BulkMap {
     let mut memo = MatchMemo::new(1024);
     let mut map = BulkMap::default();
     for (dev, rules) in &family.tables {
-        let fib = sorted_fib(layout, rules);
+        let mapped = map.map(&mut engine, layout, rules, default_rule(layout), &clip, &mut memo);
+        let fib = mapped.fib;
+        assert_eq!(
+            fib.rules(),
+            sorted_fib(layout, rules).rules(),
+            "device {dev:?}: template order differs from the stable sort"
+        );
         let table = &fib.rules()[..fib.len() - 1];
-        let effective = map.map(&mut engine, layout, &fib, &clip, &mut memo);
-        let got = atomic_overwrites(*dev, table, effective);
+        let got = atomic_overwrites(*dev, table, resolve(mapped.effective, map.template()));
         let fresh = calculate_atomic_overwrites(
             &mut engine,
             layout,
@@ -398,4 +425,126 @@ fn a_change_above_a_wide_table_takes_the_full_pass() {
     };
     let (map, reused) = check(family);
     assert_eq!((map.full_passes, reused), (2, 0));
+}
+
+/// A family whose tables hold rules twice, a second action in some slots
+/// and a shuffled input order, on top of `random_family`'s rules the
+/// template lacks and its disjoint table (a new template mid-stream).
+fn twisted_family(seed: u64) -> Family {
+    use rand::seq::SliceRandom;
+    let mut family = random_family(
+        seed,
+        HeaderLayout::new(&[("dst", 10)]),
+        SubspaceSpec::whole(),
+        |rng, l, n| {
+            dst_slots(rng, l, n, |rng, len| {
+                if rng.gen_bool(0.5) {
+                    len as i64
+                } else {
+                    rng.gen_range(0i64..3)
+                }
+            })
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7157_ED00);
+    for (_, rules) in &mut family.tables {
+        for _ in 0..rng.gen_range(0..5) {
+            let r = rules[rng.gen_range(0..rules.len())];
+            rules.push(match rng.gen_bool(0.5) {
+                true => r,
+                false => Rule::new(r.mat, r.priority, ActionId(r.action.0 % 4 + 1)),
+            });
+        }
+        rules.shuffle(&mut rng);
+    }
+    family
+}
+
+#[test]
+fn template_order_is_the_stable_sort() {
+    let (mut reused, mut passes) = (0, 0);
+    for seed in 100..160 {
+        let family = twisted_family(seed);
+        let map = check_map(&family);
+        assert!(map.full_passes >= 2, "seed {seed}: no new template mid-stream");
+        reused += map.reused_rules;
+        passes += map.full_passes;
+        check_manager(&family);
+    }
+    assert!(reused > passes * 10, "the template order stopped reusing slots");
+}
+
+/// Every table of `family` through one [`BulkMap`] and
+/// [`Netting::add_mapped`], as `bulk_load` files them. Returns the compact
+/// overwrites and the atomic overwrite count.
+fn slot_netting(engine: &mut PredEngine, family: &Family, clip: &Pred) -> (Vec<Overwrite>, u64) {
+    let layout = &family.layout;
+    let (mut memo, mut map, mut net) = (MatchMemo::new(1024), BulkMap::default(), Netting::new());
+    let mut atomics = 0;
+    for (dev, rules) in &family.tables {
+        let mapped = map.map(engine, layout, rules, default_rule(layout), clip, &mut memo);
+        let table = &mapped.fib.rules()[..mapped.fib.len() - 1];
+        let template = mapped.new_template.then(|| map.template());
+        atomics += net.add_mapped(*dev, table, mapped.effective, template);
+    }
+    (net.finish(engine), atomics)
+}
+
+/// The reference: each device's atomic overwrites from a full pass over
+/// its sorted table, filed one by one with [`Netting::add`].
+fn atomic_netting(engine: &mut PredEngine, family: &Family, clip: &Pred) -> (Vec<Overwrite>, u64) {
+    let layout = &family.layout;
+    let mut net = Netting::new();
+    let mut atomics = 0;
+    for (dev, rules) in &family.tables {
+        let fib = sorted_fib(layout, rules);
+        let table = &fib.rules()[..fib.len() - 1];
+        let effective =
+            calculate_atomic_overwrites(engine, layout, &fib, table, clip, &mut MatchMemo::disabled());
+        let device = atomic_overwrites(*dev, table, effective);
+        atomics += device.len() as u64;
+        net.add(device);
+    }
+    (net.finish(engine), atomics)
+}
+
+#[test]
+fn slot_netting_builds_the_atomic_netting() {
+    let families = (200..230)
+        .map(twisted_family)
+        .chain([fat_tree_family()])
+        .chain((210..214).map(|seed| {
+            random_family(
+                seed,
+                HeaderLayout::new(&[("dst", 6), ("src", 6)]),
+                SubspaceSpec::whole(),
+                |rng, l, n| dst_slots(rng, l, n, |rng, _| rng.gen_range(0i64..4)),
+            )
+        }));
+    for family in families {
+        let layout = &family.layout;
+        let mut engine = PredEngine::new(layout.total_bits());
+        let clip = engine.true_pred();
+        let got = slot_netting(&mut engine, &family, &clip);
+        let want = atomic_netting(&mut engine, &family, &clip);
+        assert_eq!(got, want, "compact overwrites or atomic count differ");
+
+        // `bulk_load` itself: its model is the one those overwrites build.
+        let mut bulk = manager(&family);
+        for (dev, rules) in &family.tables {
+            bulk.submit_bulk(*dev, rules.iter().map(|r| RuleUpdate::insert(*r)));
+        }
+        bulk.bulk_load();
+        assert_eq!(bulk.stats().atomic_overwrites, want.1);
+        assert_eq!(bulk.stats().compact_overwrites, want.0.len() as u64);
+        let universe = bulk.model().universe().clone();
+        let (compact, _) = atomic_netting(bulk.engine_mut(), &family, &universe);
+        let mut model = InverseModel::new(universe);
+        let mut pat = PatStore::new();
+        model.apply_overwrites(bulk.engine_mut(), &mut pat, &compact);
+        let entries = |m: &InverseModel, p: &PatStore| -> Vec<(Pred, Vec<(DeviceId, ActionId)>)> {
+            m.entries().iter().map(|e| (e.pred.clone(), p.entries(e.vector))).collect()
+        };
+        assert_eq!(entries(bulk.model(), bulk.pat()), entries(&model, &pat));
+    }
 }
