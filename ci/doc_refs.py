@@ -3,7 +3,7 @@
 
 Usage: python3 ci/doc_refs.py   (from the repository root)
 
-Checks three kinds of reference:
+Checks four kinds of reference:
 - a backticked path whose first component is one of the top-level
   entries below must exist; a Rust path after `::` is ignored, so
   `crates/imt::model` checks `crates/imt`;
@@ -12,7 +12,15 @@ Checks three kinds of reference:
 - every `Type::item` in a backticked span (a capitalised name, then
   `::` and a word) needs a `struct`, `enum`, `trait` or `type` named
   `Type` declared in a `.rs` file under `crates/` or `benchmark/`, and
-  `item` must be a word of such a file.
+  `item` must be a word of such a file;
+- every `module::item` in a backticked span (a lowercase name, then
+  `::` and one or more `::`-separated words, each checked as an item;
+  paths that start at `std`, `crate`, `self`, `super` or a primitive
+  type are skipped) must resolve: either `module.rs` or `module/mod.rs`
+  exists under `crates/` or `benchmark/` and `item` is a word of it, or
+  `module` names a crate (`crates/module/`, or `flash_module` for its
+  library name) and `item` is one of its module files or a word of its
+  sources.
 
 Prints each broken reference as `file:line: ...` and exits 1 if there
 is any.
@@ -29,6 +37,12 @@ SPAN = re.compile(r"`([^`\n]+)`")
 BIN = re.compile(r"--bin[ =]([A-Za-z0-9_-]+)")
 ITEM = re.compile(r"(?<!\w)([A-Z]\w*)::(\w+)")
 DECL = re.compile(r"\b(?:struct|enum|trait|type)\s+([A-Za-z_]\w*)")
+# A lowercase path `module::item` or `module::a::b`; every item after the
+# first segment is checked against the module.
+MODULE_PATH = re.compile(r"(?<![\w:])([a-z_][a-z0-9_]*)((?:::\w+)+)")
+NOT_MODULES = {"std", "crate", "self", "super", "bool", "char", "str"} | {
+    f"{sign}{bits}" for sign in "iu" for bits in ("8", "16", "32", "64", "128", "size")
+} | {"f32", "f64"}
 
 
 def binaries():
@@ -47,18 +61,26 @@ def binaries():
     return names
 
 
-def declarations():
-    """Type name -> sources of the `.rs` files that declare it."""
-    declared = {}
+def sources():
+    """Path -> source of every `.rs` file under `crates/` and `benchmark/`."""
+    found = {}
     for root in ("crates", "benchmark"):
         for parent, dirs, files in os.walk(root):
             dirs[:] = [d for d in dirs if d != "target"]
             for name in files:
                 if name.endswith(".rs"):
-                    with open(os.path.join(parent, name)) as f:
-                        source = f.read()
-                    for ty in DECL.findall(source):
-                        declared.setdefault(ty, []).append(source)
+                    path = os.path.join(parent, name)
+                    with open(path) as f:
+                        found[path] = f.read()
+    return found
+
+
+def declarations(files):
+    """Type name -> sources of the `.rs` files that declare it."""
+    declared = {}
+    for source in files.values():
+        for ty in DECL.findall(source):
+            declared.setdefault(ty, []).append(source)
     return declared
 
 
@@ -71,9 +93,32 @@ def item_error(declared, ty, item):
     return None
 
 
+def module_error(files, module, item):
+    word = re.compile(r"\b%s\b" % re.escape(item))
+    files_named = [
+        source for path, source in files.items()
+        if path.endswith((os.sep + module + ".rs", os.sep + module + os.sep + "mod.rs"))
+    ]
+    if any(word.search(source) for source in files_named):
+        return None
+    crate = os.path.join("crates", module[len("flash_"):] if module.startswith("flash_") else module)
+    if os.path.isdir(crate):
+        prefix = crate + os.sep
+        in_crate = {path: source for path, source in files.items() if path.startswith(prefix)}
+        if any(os.path.basename(path) == item + ".rs" for path in in_crate):
+            return None
+        if any(word.search(source) for source in in_crate.values()):
+            return None
+        return f"no module or word {item} in {crate}"
+    if files_named:
+        return f"no {item} in {module}.rs"
+    return f"no module file {module}.rs and no crate {crate}"
+
+
 def main():
     bins = binaries()
-    declared = declarations()
+    files = sources()
+    declared = declarations(files)
     broken = []
     for doc in DOCS:
         with open(doc) as f:
@@ -87,6 +132,13 @@ def main():
                     error = item_error(declared, ty, item)
                     if error:
                         broken.append(f"{doc}:{number}: `{span}`: {error}")
+                for module, items in MODULE_PATH.findall(span):
+                    if module in NOT_MODULES:
+                        continue
+                    for item in items.split("::")[1:]:
+                        error = module_error(files, module, item)
+                        if error:
+                            broken.append(f"{doc}:{number}: `{span}`: {error}")
             for name in BIN.findall(line):
                 if name not in bins:
                     broken.append(f"{doc}:{number}: --bin {name}: no such binary")

@@ -23,13 +23,18 @@
 //! ```
 //!
 //! Destination addresses are IPv4 dotted quads over the 32-bit
-//! [`HeaderLayout::dst_only`] layout.
+//! [`HeaderLayout::dst_only`] layout, with no bits set below the prefix
+//! length.
+//!
+//! The format is read in one sequential pass, with the whole file in
+//! memory: it is meant for hand-written, quickstart-sized networks that
+//! carry `require` lines. Large data planes use the on-disk dataset
+//! layout of `flash_workloads::dataset`, whose readers stream route
+//! files in parallel.
 
 use crate::error::FlashError;
 use crate::verifier::Property;
-use flash_netmodel::{
-    ActionTable, DeviceId, HeaderLayout, Match, Rule, Topology,
-};
+use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, Match, Rule, Topology};
 use flash_spec::{parse_path_expr, Requirement};
 use std::sync::Arc;
 
@@ -44,32 +49,12 @@ pub struct NetworkFile {
     pub properties: Vec<Property>,
 }
 
-/// The non-FIB portion of a network description: everything a verifier
-/// needs *before* rules start flowing. Produced by the streaming entry
-/// points, which hand each device's rules to a sink instead of
-/// materializing the whole `Vec<(DeviceId, Vec<Rule>)>` — at hyper scale
-/// the rule bodies dwarf the topology by orders of magnitude.
-#[derive(Debug)]
-pub struct NetworkHeader {
-    pub topo: Arc<Topology>,
-    pub actions: Arc<ActionTable>,
-    pub layout: HeaderLayout,
-    pub properties: Vec<Property>,
-    /// Devices with `fib` blocks, in file order (repeats allowed).
-    pub fib_devices: Vec<DeviceId>,
-    /// Total rules across all `fib` blocks.
-    pub total_rules: usize,
-}
-
-/// Adapter parse failures are [`FlashError::Parse`] values carrying the
-/// 1-based line number; this alias keeps the seed's name working.
-pub type AdapterError = FlashError;
-
 fn err(line: usize, message: impl Into<String>) -> FlashError {
     FlashError::parse(line, message)
 }
 
-/// Parses `a.b.c.d/len` into `(value, len)` over 32 bits.
+/// Parses `a.b.c.d/len` into `(value, len)` over 32 bits. The address
+/// may have no bits set below `len`, so each prefix has one spelling.
 pub fn parse_prefix(s: &str, line: usize) -> Result<(u64, u32), FlashError> {
     let (addr, len) = s
         .split_once('/')
@@ -94,6 +79,9 @@ pub fn parse_prefix(s: &str, line: usize) -> Result<(u64, u32), FlashError> {
         }
         value = (value << 8) | b;
     }
+    if value & ((1u64 << (32 - len)) - 1) != 0 {
+        return Err(err(line, format!("{s:?} has bits below its length")));
+    }
     Ok((value, len))
 }
 
@@ -109,65 +97,28 @@ pub fn format_prefix(value: u64, len: u32) -> String {
     )
 }
 
-/// The shared line-streaming parse core. Each completed `fib` block is
-/// flushed to `sink` the moment it ends (next directive or EOF), so only
-/// one device's rules are resident at a time; header state (topology,
-/// actions, requirements) accumulates normally. Drive it one line at a
-/// time — the callers own the line buffer, so the buffered entry points
-/// ([`parse_network_header`], [`stream_network_fibs`]) can reuse a single
-/// `String` for the whole file instead of allocating one per line.
+/// The parse state of one pass over the file: topology and actions as
+/// declared so far, `fib` blocks collected in file order, and the
+/// `require` lines, which are parsed once the topology is complete.
 struct Parser {
     layout: HeaderLayout,
     topo: Topology,
     actions: ActionTable,
+    fibs: Vec<(DeviceId, Vec<Rule>)>,
+    /// Whether rule lines extend the last `fib` block.
+    in_fib: bool,
     requires: Vec<(usize, String)>,
-    current: Option<(DeviceId, Vec<Rule>)>,
-    fib_devices: Vec<DeviceId>,
-    total_rules: usize,
 }
 
 impl Parser {
-    fn new() -> Self {
-        Parser {
-            layout: HeaderLayout::dst_only(),
-            topo: Topology::new(),
-            actions: ActionTable::new(),
-            requires: Vec::new(),
-            current: None,
-            fib_devices: Vec::new(),
-            total_rules: 0,
-        }
-    }
-
-    fn flush_block<F>(&mut self, sink: &mut F) -> Result<(), FlashError>
-    where
-        F: FnMut(DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-    {
-        if let Some((dev, rules)) = self.current.take() {
-            self.total_rules += rules.len();
-            sink(dev, rules)?;
-        }
-        Ok(())
-    }
-
-    fn line<F>(&mut self, lineno: usize, raw: &str, sink: &mut F) -> Result<(), FlashError>
-    where
-        F: FnMut(DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-    {
+    fn line(&mut self, lineno: usize, raw: &str) -> Result<(), FlashError> {
         let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            return Ok(());
-        }
         let mut parts = line.split_whitespace();
         let Some(keyword) = parts.next() else {
-            // Unreachable (blank lines are filtered above), but a parse
-            // error beats a panic if the filtering ever changes.
-            return Err(err(lineno, "empty directive"));
+            return Ok(());
         };
-        // Any non-rule directive terminates the open fib block.
-        if keyword != "fib" && !keyword.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            self.flush_block(sink)?;
-        }
+        // Any directive terminates the open fib block; rules start with a digit.
+        self.in_fib &= keyword.starts_with(|c: char| c.is_ascii_digit());
         match keyword {
             "node" | "external" => {
                 let name = parts
@@ -202,7 +153,6 @@ impl Parser {
                 self.topo.add_bilink(a, b);
             }
             "fib" => {
-                self.flush_block(sink)?;
                 let name = parts
                     .next()
                     .ok_or_else(|| err(lineno, "expected a device name"))?;
@@ -210,17 +160,14 @@ impl Parser {
                     .topo
                     .lookup(name)
                     .ok_or_else(|| err(lineno, format!("unknown device {name:?}")))?;
-                self.fib_devices.push(dev);
-                self.current = Some((dev, Vec::new()));
+                self.fibs.push((dev, Vec::new()));
+                self.in_fib = true;
             }
             "require" => {
                 self.requires.push((lineno, line.to_string()));
             }
-            _ => {
+            _ if self.in_fib => {
                 // Inside a fib block: "prefix priority action".
-                let Some((_, rules)) = self.current.as_mut() else {
-                    return Err(err(lineno, format!("unexpected directive {keyword:?}")));
-                };
                 let (value, len) = parse_prefix(keyword, lineno)?;
                 let priority: i64 = parts
                     .next()
@@ -231,438 +178,42 @@ impl Parser {
                     .next()
                     .ok_or_else(|| err(lineno, "expected an action"))?;
                 let action = parse_action(action_str, &self.topo, &mut self.actions, lineno)?;
-                rules.push(Rule::new(
-                    Match::dst_prefix(&self.layout, value, len),
-                    priority,
-                    action,
-                ));
+                let mat = Match::dst_prefix(&self.layout, value, len);
+                if let Some((_, rules)) = self.fibs.last_mut() {
+                    rules.push(Rule::new(mat, priority, action));
+                }
             }
+            _ => return Err(err(lineno, format!("unexpected directive {keyword:?}"))),
         }
         Ok(())
     }
-
-    fn finish<F>(mut self, sink: &mut F) -> Result<NetworkHeader, FlashError>
-    where
-        F: FnMut(DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-    {
-        self.flush_block(sink)?;
-        // Requirements are parsed after the topology so names resolve.
-        let mut properties = vec![Property::LoopFreedom];
-        for (lineno, line) in &self.requires {
-            properties.push(parse_require(line, *lineno, &self.topo, &self.layout)?);
-        }
-        Ok(NetworkHeader {
-            topo: Arc::new(self.topo),
-            actions: Arc::new(self.actions),
-            layout: self.layout,
-            properties,
-            fib_devices: self.fib_devices,
-            total_rules: self.total_rules,
-        })
-    }
 }
 
-fn parse_lines<I, S, F>(lines: I, sink: &mut F) -> Result<NetworkHeader, FlashError>
-where
-    I: Iterator<Item = std::io::Result<S>>,
-    S: AsRef<str>,
-    F: FnMut(DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-{
-    let mut parser = Parser::new();
-    let mut lineno = 0usize;
-    for raw in lines {
-        lineno += 1;
-        let raw = raw.map_err(|e| err(lineno, format!("io: {e}")))?;
-        parser.line(lineno, raw.as_ref(), sink)?;
-    }
-    parser.finish(sink)
-}
-
-/// As [`parse_lines`], reading from a `BufRead` through one reused line
-/// buffer: the steady-state loop performs no per-line allocation (the
-/// `lines()` adapter would allocate a fresh `String` for every line —
-/// at 10⁷ rules that is 10⁷ short-lived heap allocations on the hot
-/// ingest path).
-fn parse_buffered<R, F>(mut reader: R, sink: &mut F) -> Result<NetworkHeader, FlashError>
-where
-    R: std::io::BufRead,
-    F: FnMut(DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-{
-    let mut parser = Parser::new();
-    let mut buf = String::new();
-    let mut lineno = 0usize;
-    loop {
-        buf.clear();
-        lineno += 1;
-        if reader
-            .read_line(&mut buf)
-            .map_err(|e| err(lineno, format!("io: {e}")))?
-            == 0
-        {
-            break;
-        }
-        parser.line(lineno, &buf, sink)?;
-    }
-    parser.finish(sink)
-}
-
-/// Parses the full network file into memory.
+/// Parses a network file in one sequential pass.
 pub fn parse_network(input: &str) -> Result<NetworkFile, FlashError> {
-    let mut fibs: Vec<(DeviceId, Vec<Rule>)> = Vec::new();
-    let header = parse_lines(input.lines().map(std::io::Result::Ok), &mut |dev, rules| {
-        fibs.push((dev, rules));
-        Ok(())
-    })?;
+    let mut parser = Parser {
+        layout: HeaderLayout::dst_only(),
+        topo: Topology::new(),
+        actions: ActionTable::new(),
+        fibs: Vec::new(),
+        in_fib: false,
+        requires: Vec::new(),
+    };
+    for (i, raw) in input.lines().enumerate() {
+        parser.line(i + 1, raw)?;
+    }
+    // Requirements are parsed after the topology so names resolve.
+    let mut properties = vec![Property::LoopFreedom];
+    for (lineno, line) in &parser.requires {
+        properties.push(parse_require(line, *lineno, &parser.topo, &parser.layout)?);
+    }
     Ok(NetworkFile {
-        topo: header.topo,
-        actions: header.actions,
-        layout: header.layout,
-        fibs,
-        properties: header.properties,
+        topo: Arc::new(parser.topo),
+        actions: Arc::new(parser.actions),
+        layout: parser.layout,
+        fibs: parser.fibs,
+        properties,
     })
-}
-
-/// First pass of the two-pass streaming ingest: parses the topology,
-/// actions and requirements, counting rules but dropping their bodies.
-/// The returned header carries everything needed to construct a verifier;
-/// a second pass over the same input via [`stream_network_fibs`] then
-/// feeds the rules through without ever materializing more than one
-/// device's FIB.
-pub fn parse_network_header(reader: impl std::io::BufRead) -> Result<NetworkHeader, FlashError> {
-    parse_buffered(reader, &mut |_, _| Ok(()))
-}
-
-/// Second pass of the streaming ingest: re-parses the input, handing each
-/// device's rules to `sink` as its `fib` block completes. Parsing is
-/// deterministic, so the topology, action ids and device ids seen by the
-/// sink agree exactly with the header from [`parse_network_header`] on
-/// the same input.
-pub fn stream_network_fibs<R, F>(reader: R, mut sink: F) -> Result<NetworkHeader, FlashError>
-where
-    R: std::io::BufRead,
-    F: FnMut(DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-{
-    parse_buffered(reader, &mut sink)
-}
-
-/// Partitioned second pass over one partition of the `fib` blocks.
-///
-/// Pass 1 ([`parse_network_header`]) already built the complete topology
-/// and action table, so a pass-2 reader does not need to re-execute any
-/// header directive: it skims the file tracking only `fib` block
-/// boundaries (block ordinal `i` is `header.fib_devices[i]` by
-/// construction — parsing is deterministic) and fully parses rule lines
-/// only inside blocks with `ordinal % parts == part`, resolving actions
-/// read-only via [`ActionTable::lookup`]. Rule lines of foreign blocks
-/// are skipped after a one-byte classification, which is what makes
-/// `parts` readers over the same file genuinely cheaper than `parts`
-/// full parses. `sink` receives `(ordinal, device, rules)` for owned
-/// blocks, in file order within the partition.
-///
-/// An action absent from the pass-1 table is a parse error: it means the
-/// file changed between the passes.
-pub fn stream_network_fibs_partition<R, F>(
-    mut reader: R,
-    header: &NetworkHeader,
-    part: usize,
-    parts: usize,
-    mut sink: F,
-) -> Result<(), FlashError>
-where
-    R: std::io::BufRead,
-    F: FnMut(usize, DeviceId, Vec<Rule>) -> Result<(), FlashError>,
-{
-    assert!(parts > 0 && part < parts, "partition {part} of {parts}");
-    let layout = &header.layout;
-    let mut resolver = ActionResolver::new();
-    let mut buf = String::new();
-    let mut lineno = 0usize;
-    // Ordinal of the currently open fib block; usize::MAX before the
-    // first one. `open` holds the rules of an *owned* open block.
-    let mut ordinal = usize::MAX;
-    let mut open: Option<Vec<Rule>> = None;
-    loop {
-        buf.clear();
-        lineno += 1;
-        let eof = reader
-            .read_line(&mut buf)
-            .map_err(|e| err(lineno, format!("io: {e}")))?
-            == 0;
-        let line = if eof {
-            ""
-        } else {
-            buf.split('#').next().unwrap_or("").trim()
-        };
-        if !eof && line.is_empty() {
-            continue;
-        }
-        let first = line.as_bytes().first().copied();
-        let is_rule = first.is_some_and(|c| c.is_ascii_digit());
-        if is_rule {
-            let Some(rules) = open.as_mut() else {
-                continue; // foreign block: classification only
-            };
-            let mut parts_iter = line.split_whitespace();
-            let prefix = parts_iter
-                .next()
-                .ok_or_else(|| err(lineno, "expected a prefix"))?;
-            let (value, len) = parse_prefix(prefix, lineno)?;
-            let priority: i64 = parts_iter
-                .next()
-                .ok_or_else(|| err(lineno, "expected a priority"))?
-                .parse()
-                .map_err(|_| err(lineno, "bad priority"))?;
-            let action_str = parts_iter
-                .next()
-                .ok_or_else(|| err(lineno, "expected an action"))?;
-            let action =
-                resolver.resolve(action_str, &header.topo, &header.actions, lineno)?;
-            rules.push(Rule::new(
-                Match::dst_prefix(layout, value, len),
-                priority,
-                action,
-            ));
-            continue;
-        }
-        // A directive (or EOF) closes any open block.
-        if let Some(rules) = open.take() {
-            sink(ordinal, header.fib_devices[ordinal], rules)?;
-        }
-        if eof {
-            return Ok(());
-        }
-        if line.split_whitespace().next() == Some("fib") {
-            ordinal = ordinal.wrapping_add(1);
-            if ordinal >= header.fib_devices.len() {
-                return Err(err(
-                    lineno,
-                    "more fib blocks than the pass-1 header (file changed between passes?)",
-                ));
-            }
-            if ordinal % parts == part {
-                open = Some(Vec::new());
-            }
-        }
-    }
-}
-
-/// Parallel second pass: `threads` reader threads each own the `fib`
-/// blocks with `ordinal % threads == t`, re-scan the input via their own
-/// reader from `open`, and run `map` on each owned block's rules —
-/// parse, action resolution, and any routing work inside `map` for block
-/// i+1 all overlap with the caller consuming block i. The caller's
-/// `sink` still sees blocks in strict file order: mapped results park in
-/// a reorder window bounded to ~2 blocks per reader, which is also the
-/// pipeline's backpressure. `threads <= 1` degrades to a sequential
-/// single-partition scan. Returns the total rule count streamed.
-pub fn stream_network_fibs_parallel<R, O, T, M, F>(
-    open: O,
-    header: &NetworkHeader,
-    threads: usize,
-    map: M,
-    mut sink: F,
-) -> Result<usize, FlashError>
-where
-    R: std::io::BufRead,
-    O: Fn() -> std::io::Result<R> + Sync,
-    T: Send,
-    M: Fn(DeviceId, Vec<Rule>) -> T + Sync,
-    F: FnMut(DeviceId, T) -> Result<(), FlashError>,
-{
-    let blocks = header.fib_devices.len();
-    if threads <= 1 || blocks <= 1 {
-        let reader = open().map_err(|e| err(0, format!("io: {e}")))?;
-        let mut total = 0usize;
-        return stream_network_fibs_partition(reader, header, 0, 1, |_, dev, rules| {
-            total += rules.len();
-            sink(dev, map(dev, rules))
-        })
-        .map(|()| total);
-    }
-    let threads = threads.min(blocks);
-    let window = threads * 2;
-    let shared = ReorderWindow::<(usize, T)>::new();
-    let mut consumed = Ok(0usize);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let shared = &shared;
-            let map = &map;
-            let open = &open;
-            scope.spawn(move || {
-                let reader = match open() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        shared.fail(err(0, format!("io: {e}")));
-                        return;
-                    }
-                };
-                let r = stream_network_fibs_partition(reader, header, t, threads, |i, dev, rules| {
-                    if !shared.wait_for_slot(i, window) {
-                        return Err(err(0, "aborted"));
-                    }
-                    let count = rules.len();
-                    shared.publish(i, (count, map(dev, rules)));
-                    Ok(())
-                });
-                if let Err(e) = r {
-                    shared.fail(e);
-                }
-            });
-        }
-        // Consumer: the caller's thread drains the window in order.
-        let mut total = 0usize;
-        for (i, &dev) in header.fib_devices.iter().enumerate() {
-            match shared.take(i) {
-                Ok((count, item)) => {
-                    total += count;
-                    if let Err(e) = sink(dev, item) {
-                        shared.abort();
-                        consumed = Err(e);
-                        return;
-                    }
-                }
-                Err(e) => {
-                    consumed = Err(e);
-                    return;
-                }
-            }
-        }
-        consumed = Ok(total);
-    });
-    consumed
-}
-
-/// Read-only action resolution for the partitioned pass: hop sets are
-/// built in a reused scratch `Forward`, normalized in place, and probed
-/// with [`ActionTable::lookup`] — no table mutation, no per-line heap
-/// allocation.
-struct ActionResolver {
-    scratch: flash_netmodel::Action,
-}
-
-impl ActionResolver {
-    fn new() -> Self {
-        ActionResolver {
-            scratch: flash_netmodel::Action::Forward(Vec::new()),
-        }
-    }
-
-    fn resolve(
-        &mut self,
-        s: &str,
-        topo: &Topology,
-        actions: &ActionTable,
-        lineno: usize,
-    ) -> Result<flash_netmodel::ActionId, FlashError> {
-        if s == "drop" {
-            return Ok(flash_netmodel::ACTION_DROP);
-        }
-        let flash_netmodel::Action::Forward(hops) = &mut self.scratch else {
-            unreachable!()
-        };
-        hops.clear();
-        if let Some(inner) = s.strip_prefix("ecmp(").and_then(|r| r.strip_suffix(')')) {
-            for n in inner.split(',') {
-                let n = n.trim();
-                hops.push(
-                    topo.lookup(n)
-                        .ok_or_else(|| err(lineno, format!("unknown next hop {n:?}")))?,
-                );
-            }
-            if hops.is_empty() {
-                return Err(err(lineno, "empty ecmp() set"));
-            }
-            hops.sort_unstable();
-            hops.dedup();
-        } else {
-            hops.push(
-                topo.lookup(s)
-                    .ok_or_else(|| err(lineno, format!("unknown next hop {s:?}")))?,
-            );
-        }
-        actions.lookup(&self.scratch).ok_or_else(|| {
-            err(
-                lineno,
-                "action not in the pass-1 table (file changed between passes?)",
-            )
-        })
-    }
-}
-
-/// Bounded reorder window between parallel pass-2 readers and the
-/// in-order consumer; slot `i` holds block ordinal `i`'s mapped result
-/// until every earlier block has been emitted.
-struct ReorderWindow<T> {
-    state: std::sync::Mutex<ReorderState<T>>,
-    cv: std::sync::Condvar,
-}
-
-struct ReorderState<T> {
-    slots: std::collections::HashMap<usize, T>,
-    next_emit: usize,
-    error: Option<FlashError>,
-    aborted: bool,
-}
-
-impl<T> ReorderWindow<T> {
-    fn new() -> Self {
-        ReorderWindow {
-            state: std::sync::Mutex::new(ReorderState {
-                slots: std::collections::HashMap::new(),
-                next_emit: 0,
-                error: None,
-                aborted: false,
-            }),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until ordinal `i` is within `window` of the consumer (the
-    /// backpressure bound). Returns false if the pipeline was aborted.
-    fn wait_for_slot(&self, i: usize, window: usize) -> bool {
-        let mut g = self.state.lock().expect("reorder window poisoned");
-        while !g.aborted && g.error.is_none() && i >= g.next_emit + window {
-            g = self.cv.wait(g).expect("reorder window poisoned");
-        }
-        !g.aborted && g.error.is_none()
-    }
-
-    fn publish(&self, i: usize, item: T) {
-        let mut g = self.state.lock().expect("reorder window poisoned");
-        g.slots.insert(i, item);
-        self.cv.notify_all();
-    }
-
-    fn fail(&self, e: FlashError) {
-        let mut g = self.state.lock().expect("reorder window poisoned");
-        if g.error.is_none() {
-            g.error = Some(e);
-        }
-        self.cv.notify_all();
-    }
-
-    fn abort(&self) {
-        let mut g = self.state.lock().expect("reorder window poisoned");
-        g.aborted = true;
-        self.cv.notify_all();
-    }
-
-    fn take(&self, i: usize) -> Result<T, FlashError> {
-        let mut g = self.state.lock().expect("reorder window poisoned");
-        loop {
-            if let Some(e) = g.error.take() {
-                g.aborted = true;
-                self.cv.notify_all();
-                return Err(e);
-            }
-            if let Some(v) = g.slots.remove(&i) {
-                g.next_emit = i + 1;
-                self.cv.notify_all();
-                return Ok(v);
-            }
-            g = self.cv.wait(g).expect("reorder window poisoned");
-        }
-    }
 }
 
 fn parse_action(
@@ -811,6 +362,11 @@ require http-detour 10.0.1.0/24 from s3 path "s3 .* s1 a"
         assert!(parse_prefix("10.0.1/24", 1).is_err());
         assert!(parse_prefix("10.0.1.0/33", 1).is_err());
         assert!(parse_prefix("10.0.1.999/24", 1).is_err());
+        // Bits below the length would intern a second match for 10.0.0.0/8.
+        let e = parse_prefix("10.0.0.1/8", 7).unwrap_err();
+        assert_eq!(e.parse_line(), Some(7));
+        assert!(e.to_string().contains("has bits below its length"), "{e}");
+        assert!(parse_prefix("10.0.0.1/32", 1).is_ok());
     }
 
     #[test]
@@ -831,99 +387,6 @@ require http-detour 10.0.1.0/24 from s3 path "s3 .* s1 a"
     }
 
     #[test]
-    fn streaming_parse_agrees_with_batch() {
-        let net = parse_network(SAMPLE).unwrap();
-        // Pass 1: header only.
-        let header = parse_network_header(std::io::Cursor::new(SAMPLE)).unwrap();
-        assert_eq!(header.topo.device_count(), net.topo.device_count());
-        assert_eq!(header.total_rules, net.fibs.iter().map(|(_, r)| r.len()).sum::<usize>());
-        assert_eq!(
-            header.fib_devices,
-            net.fibs.iter().map(|(d, _)| *d).collect::<Vec<_>>()
-        );
-        assert_eq!(header.properties.len(), net.properties.len());
-        // Pass 2: streamed blocks arrive in file order with identical rules.
-        let mut streamed = Vec::new();
-        stream_network_fibs(std::io::Cursor::new(SAMPLE), |dev, rules| {
-            streamed.push((dev, rules));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(streamed, net.fibs);
-    }
-
-    #[test]
-    fn partitioned_pass_matches_batch() {
-        let net = parse_network(SAMPLE).unwrap();
-        let header = parse_network_header(std::io::Cursor::new(SAMPLE)).unwrap();
-        for parts in [1usize, 2, 3] {
-            let mut got: Vec<(usize, DeviceId, Vec<Rule>)> = Vec::new();
-            for part in 0..parts {
-                stream_network_fibs_partition(
-                    std::io::Cursor::new(SAMPLE),
-                    &header,
-                    part,
-                    parts,
-                    |i, dev, rules| {
-                        got.push((i, dev, rules));
-                        Ok(())
-                    },
-                )
-                .unwrap();
-            }
-            got.sort_by_key(|(i, _, _)| *i);
-            let flat: Vec<(DeviceId, Vec<Rule>)> =
-                got.into_iter().map(|(_, d, r)| (d, r)).collect();
-            assert_eq!(flat, net.fibs, "{parts} partitions");
-        }
-    }
-
-    #[test]
-    fn parallel_pass_matches_batch_in_order() {
-        let net = parse_network(SAMPLE).unwrap();
-        let header = parse_network_header(std::io::Cursor::new(SAMPLE)).unwrap();
-        for threads in [1usize, 2, 4] {
-            let mut got: Vec<(DeviceId, Vec<Rule>)> = Vec::new();
-            let total = stream_network_fibs_parallel(
-                || Ok(std::io::Cursor::new(SAMPLE)),
-                &header,
-                threads,
-                |_, rules| rules,
-                |dev, rules| {
-                    got.push((dev, rules));
-                    Ok(())
-                },
-            )
-            .unwrap();
-            assert_eq!(total, header.total_rules, "{threads} threads");
-            assert_eq!(got, net.fibs, "{threads} threads: file order preserved");
-        }
-    }
-
-    #[test]
-    fn partitioned_pass_rejects_stale_table() {
-        // An action table from a *different* file misses lookups.
-        let header = parse_network_header(std::io::Cursor::new(SAMPLE)).unwrap();
-        let stale = NetworkHeader {
-            topo: header.topo.clone(),
-            actions: Arc::new(ActionTable::new()),
-            layout: header.layout.clone(),
-            properties: vec![],
-            fib_devices: header.fib_devices.clone(),
-            total_rules: header.total_rules,
-        };
-        let e = stream_network_fibs_partition(
-            std::io::Cursor::new(SAMPLE),
-            &stale,
-            0,
-            1,
-            |_, _, _| Ok(()),
-        )
-        .unwrap_err();
-        assert!(e.to_string().contains("pass-1"), "{e}");
-    }
-
-    #[test]
     fn parse_errors_carry_line_numbers() {
         let bad = "node a\nlink a b\n";
         let e = parse_network(bad).unwrap_err();
@@ -939,6 +402,88 @@ require http-detour 10.0.1.0/24 from s3 path "s3 .* s1 a"
         assert_eq!(e.parse_line(), Some(1));
         assert!(matches!(e, crate::error::FlashError::Parse { .. }));
         assert!(e.to_string().starts_with("line 1:"));
+        let bad = "node a\nfib a\n  10.0.0.0/8 1 drop\n  10.0.1.1/24 1 drop\n";
+        let e = parse_network(bad).unwrap_err();
+        assert_eq!(e.parse_line(), Some(4));
+        let bad = "node a\nrequire r 10.1.0.0/8 from a path \"a\"\n";
+        let e = parse_network(bad).unwrap_err();
+        assert_eq!(e.parse_line(), Some(2));
+    }
+
+    /// Seeded mutants of the two sample networks (a byte deleted, a
+    /// directive token inserted, a byte replaced, a span cut): each must
+    /// fail with a `Parse` error on one of its own lines, or load through
+    /// `ingest_bulk` + `seal_bulk` without a panic.
+    #[test]
+    fn mutated_networks_fail_on_a_line_or_load() {
+        use crate::verifier::{SubspaceVerifier, SubspaceVerifierConfig};
+        const FIGURE2: &str = include_str!("../../../examples/figure2.net");
+        const TOKENS: [&str; 12] = [
+            "\n", " ", "#", "/", ".", "0", "fib s1\n", "node ", "link s1 ", "external ",
+            "require ", "ecmp(",
+        ];
+        const BYTES: &[u8] = b"0123456789./ ()#,\nabsgw*|\"";
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = |n: usize| -> usize {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let (mut parsed, mut loaded) = (0, 0);
+        for round in 0..2000 {
+            let mut bytes = [SAMPLE, FIGURE2][round % 2].as_bytes().to_vec();
+            for _ in 0..=below(3) {
+                let at = below(bytes.len());
+                match below(4) {
+                    0 => {
+                        bytes.remove(at);
+                    }
+                    1 => {
+                        let token = TOKENS[below(TOKENS.len())].bytes();
+                        bytes.splice(at..at, token);
+                    }
+                    2 => bytes[at] = BYTES[below(BYTES.len())],
+                    _ => {
+                        let end = (at + 1 + below(24)).min(bytes.len());
+                        bytes.drain(at..end);
+                    }
+                }
+            }
+            let text = String::from_utf8(bytes).expect("ASCII in, ASCII out");
+            let net = match parse_network(&text) {
+                Ok(net) => net,
+                Err(FlashError::Parse { line, .. }) => {
+                    let lines = text.lines().count();
+                    assert!((1..=lines).contains(&line), "line {line} of {lines}: {text:?}");
+                    parsed += 1;
+                    continue;
+                }
+                Err(e) => panic!("{e} is not a parse error: {text:?}"),
+            };
+            let mut v = SubspaceVerifier::new(SubspaceVerifierConfig {
+                topo: net.topo.clone(),
+                actions: net.actions.clone(),
+                layout: net.layout.clone(),
+                subspace: flash_imt::SubspaceSpec::whole(),
+                bst: usize::MAX,
+                properties: net.properties.clone(),
+            });
+            let mut synced = Vec::new();
+            for (dev, rules) in &net.fibs {
+                let updates = rules.iter().copied().map(flash_netmodel::RuleUpdate::insert);
+                v.ingest_bulk(*dev, updates.collect());
+                synced.push(*dev);
+            }
+            synced.sort_unstable();
+            synced.dedup();
+            v.seal_bulk(&synced);
+            loaded += 1;
+        }
+        // Both outcomes must be exercised for the test to mean anything.
+        assert!(parsed > 200 && loaded > 200, "{parsed} rejected, {loaded} loaded");
     }
 
     #[test]

@@ -1,32 +1,26 @@
 //! `flash-cli` — verify a network described in the text adapter format.
 //!
 //! ```text
-//! flash-cli check <network-file> [--classes] [--quiet] [--ingest-threads N]
+//! flash-cli check <network-file> [--classes] [--quiet] [--shard-mode thread|process]
 //! flash-cli journal <journal-file>
 //! flash-cli dataset generate <dir> [--k N] [--hostbits N] [--prefixes N] [--quiet]
 //! flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N]
+//!                              [--shard-mode thread|process]
 //! ```
 //!
 //! `check` verifies a text network file (see `flash_core::adapter` for
-//! the format) with a two-pass streaming ingest: pass one parses the
-//! topology, actions and requirements (dropping rule bodies), pass two
-//! streams each device's FIB into Fast IMT as its block completes — the
-//! whole rule set is never resident. Verdicts plus model statistics are
+//! the format): it reads the file in one sequential pass, buffers each
+//! `fib` block through the bulk-load path and runs consistent detection
+//! once over the sealed snapshot. Verdicts plus model statistics are
 //! printed. Exit code 1 when any property is violated.
-//!
-//! With `--ingest-threads N >= 1` (the default: the machine's available
-//! parallelism), pass two runs
-//! the pipelined snapshot path: N reader threads parse and resolve the
-//! FIB blocks in parallel while the main thread buffers them through the
-//! bulk-load fast path, and consistent detection runs once over the
-//! sealed snapshot. `--ingest-threads 0` forces the legacy sequential
-//! path, which re-verifies after every device.
 //!
 //! `dataset generate` writes a fat-tree StdFIB dataset to a directory in
 //! the on-disk layout of `flash_workloads::dataset` (HeTu-style:
 //! `topology.json`, `packet_space.json`, `edge_devices`,
 //! `data/routes/<device>`), generating device by device. `dataset load`
-//! streams such a directory through the verifier.
+//! reads such a directory in two passes: pass one builds the action
+//! table, pass two runs `--ingest-threads N` readers (N >= 1, default:
+//! the machine's available parallelism) that feed the bulk-load path.
 //!
 //! `journal` pretty-prints a durable epoch journal (a `worker-N.fjl`
 //! file written by `RecoveryOptions::journal_dir`): the checkpoint it
@@ -40,14 +34,16 @@
 //! otherwise.
 //!
 //! `--shard-mode thread|process` selects worker isolation for `check`
-//! and `dataset load` (default `thread`). Process mode is incompatible
-//! with the pipelined bulk-ingest path (`--ingest-threads >= 1`) and
-//! with `query` (snapshots share node arenas); both combinations are
-//! rejected at argument parsing, before any file is touched.
+//! and `dataset load` (default `thread`). Process mode submits one block
+//! per device to a process-isolated pool, sequentially; it cannot run
+//! the bulk-load path, so `dataset load` rejects it together with
+//! `--ingest-threads`, and `query` (snapshots share node arenas) rejects
+//! it outright, both before any file is touched.
+//!
+//! An unknown flag, a flag without its value or a second positional
+//! argument prints the usage message and exits 2.
 
-use flash_core::adapter::{
-    format_prefix, parse_network_header, stream_network_fibs, stream_network_fibs_parallel,
-};
+use flash_core::adapter::{format_prefix, parse_network};
 use flash_core::{
     AnswerKind, Backpressure, EpochJournal, EpochReport, JournalEntry, JournalTail, Property,
     PropertyReport, Query, QueryHub, QueryService, QueryServiceConfig, ShardMode, ShardPool,
@@ -62,14 +58,42 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str =
-    "usage: flash-cli check <network-file> [--classes] [--quiet] [--ingest-threads N] \
-     [--shard-mode thread|process]\n       \
+    "usage: flash-cli check <network-file> [--classes] [--quiet] [--shard-mode thread|process]\n       \
      flash-cli journal <journal-file>\n       \
      flash-cli dataset generate <dir> [--k N] [--hostbits N] [--prefixes N] [--quiet]\n       \
-     flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N] \
+     flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N>=1] \
      [--shard-mode thread|process]\n       \
      flash-cli query <dataset-dir> --src <device> --dst <device> [--via <device>] \
      [--prefix A.B.C.D/L] [--shard-bits N] [--readers N] [--quiet]";
+
+/// Prints the usage message; the exit code for a malformed command line.
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
+
+/// A command's one positional argument and its flags, each with its
+/// value (`""` for a switch).
+type Args<'a> = (Option<&'a str>, Vec<(&'a str, &'a str)>);
+
+/// Splits a command's arguments. `None` when a flag is neither in
+/// `switches` nor in `valued`, when a valued flag is the last argument,
+/// or when a second positional argument follows the first.
+fn parse_args<'a>(args: &'a [String], switches: &[&str], valued: &[&str]) -> Option<Args<'a>> {
+    let mut positional = None;
+    let mut flags = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if switches.contains(&a) {
+            flags.push((a, ""));
+        } else if valued.contains(&a) {
+            flags.push((a, it.next()?));
+        } else if a.starts_with('-') || positional.replace(a).is_some() {
+            return None;
+        }
+    }
+    Some((positional, flags))
+}
 
 /// Parses a `--shard-mode` value.
 fn parse_shard_mode(v: &str) -> Option<ShardMode> {
@@ -78,22 +102,6 @@ fn parse_shard_mode(v: &str) -> Option<ShardMode> {
         "process" => Some(ShardMode::Process),
         _ => None,
     }
-}
-
-/// Fail-fast validation of the `--shard-mode` / `--ingest-threads`
-/// combination, run at argument parsing so an incompatible pair is
-/// rejected before any file is opened or any rule is loaded (previously
-/// this surfaced only mid-load, as the pool's bulk-job config error).
-fn validate_shard_mode(mode: ShardMode, ingest_threads: usize) -> Result<(), String> {
-    if mode == ShardMode::Process && ingest_threads >= 1 {
-        return Err(
-            "--shard-mode process cannot run the pipelined bulk-ingest path \
-             (bulk ingestion requires thread mode): pass --ingest-threads 0 for \
-             the sequential path, or drop --shard-mode process"
-                .into(),
-        );
-    }
-    Ok(())
 }
 
 /// Parses `A.B.C.D/L` (dotted quad) or `V/L` (raw integer) into a
@@ -122,119 +130,59 @@ fn parse_prefix(s: &str) -> Option<(u64, u32)> {
     Some((value, len))
 }
 
-/// Resolves the ingest-thread count: the explicit flag, else the
-/// machine's available parallelism (the shard-pool default). `0`
-/// selects the legacy sequential per-device path.
-fn resolve_ingest_threads(flag: Option<usize>) -> usize {
-    flag.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    match it.next().map(|s| s.as_str()) {
-        Some("check") => {}
-        Some("journal") => {
-            let Some(path) = it.next() else {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            return print_journal(path);
-        }
-        Some("dataset") => return cmd_dataset(&args[1..]),
-        Some("query") => return cmd_query(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    match args.first().map(String::as_str) {
+        Some("check") => cmd_check(&args[1..]),
+        Some("journal") => match parse_args(&args[1..], &[], &[]) {
+            Some((Some(path), _)) => print_journal(path),
+            _ => usage(),
+        },
+        Some("dataset") => cmd_dataset(&args[1..]),
+        Some("query") => cmd_query(&args[1..]),
+        _ => usage(),
     }
-    let mut files = Vec::new();
+}
+
+/// Exit code 1 if any property was violated, else success.
+fn verdict_code(violated: bool) -> ExitCode {
+    if violated {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+fn cmd_check(args: &[String]) -> ExitCode {
+    let Some((Some(path), flags)) = parse_args(args, &["--classes", "--quiet"], &["--shard-mode"])
+    else {
+        return usage();
+    };
     let mut show_classes = false;
     let mut quiet = false;
-    let mut ingest_threads: Option<usize> = None;
     let mut shard_mode = ShardMode::Thread;
-    let mut expect: Option<&str> = None;
-    for a in it {
-        if let Some(flag) = expect.take() {
-            match flag {
-                "--ingest-threads" => {
-                    let Ok(v) = a.parse::<usize>() else {
-                        eprintln!("bad value for --ingest-threads: {a:?}");
-                        return ExitCode::from(2);
-                    };
-                    ingest_threads = Some(v);
-                }
-                "--shard-mode" => {
-                    let Some(m) = parse_shard_mode(a) else {
-                        eprintln!("bad value for --shard-mode: {a:?} (thread or process)");
-                        return ExitCode::from(2);
-                    };
-                    shard_mode = m;
-                }
-                _ => unreachable!(),
-            }
-            continue;
-        }
-        match a.as_str() {
+    for (flag, value) in flags {
+        match flag {
             "--classes" => show_classes = true,
             "--quiet" => quiet = true,
-            "--ingest-threads" | "--shard-mode" => expect = Some(a.as_str()),
-            f => files.push(f.to_string()),
+            _ => {
+                let Some(m) = parse_shard_mode(value) else {
+                    eprintln!("bad value for --shard-mode: {value:?} (thread or process)");
+                    return ExitCode::from(2);
+                };
+                shard_mode = m;
+            }
         }
     }
-    if let Some(flag) = expect {
-        eprintln!("{flag} needs a value");
-        return ExitCode::from(2);
-    }
-    let Some(path) = files.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let threads = resolve_ingest_threads(ingest_threads);
-    // Satellite fix: reject process mode + pipelined bulk ingest here,
-    // with both flags in hand, instead of failing mid-load. An explicit
-    // --ingest-threads 0 opts into the sequential path; with no explicit
-    // flag, process mode implies it.
-    let threads = if shard_mode == ShardMode::Process && ingest_threads.is_none() {
-        0
-    } else {
-        threads
-    };
-    if let Err(msg) = validate_shard_mode(shard_mode, threads) {
-        eprintln!("{msg}");
-        return ExitCode::from(2);
-    }
-    cmd_check(path, show_classes, quiet, threads, shard_mode)
-}
-
-fn open_reader(path: &str) -> Result<std::io::BufReader<std::fs::File>, ExitCode> {
-    match std::fs::File::open(path) {
-        Ok(f) => Ok(std::io::BufReader::new(f)),
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            Err(ExitCode::from(2))
+            return ExitCode::from(2);
         }
-    }
-}
-
-fn cmd_check(
-    path: &str,
-    show_classes: bool,
-    quiet: bool,
-    ingest_threads: usize,
-    shard_mode: ShardMode,
-) -> ExitCode {
-    // Pass 1: header only — topology, actions, requirements, rule counts.
-    let reader = match open_reader(path) {
-        Ok(r) => r,
-        Err(c) => return c,
     };
-    let header = match parse_network_header(reader) {
-        Ok(h) => h,
+    let net = match parse_network(&text) {
+        Ok(n) => n,
         Err(e) => {
             eprintln!("{path}: {e}");
             return ExitCode::from(2);
@@ -244,42 +192,33 @@ fn cmd_check(
         println!(
             "loaded {}: {} devices, {} links, {} FIBs ({} rules), {} properties",
             path,
-            header.topo.device_count(),
-            header.topo.link_count(),
-            header.fib_devices.len(),
-            header.total_rules,
-            header.properties.len()
+            net.topo.device_count(),
+            net.topo.link_count(),
+            net.fibs.len(),
+            net.fibs.iter().map(|(_, rules)| rules.len()).sum::<usize>(),
+            net.properties.len()
         );
     }
+    let inserts = |rules: &[flash_netmodel::Rule]| -> Vec<RuleUpdate> {
+        rules.iter().copied().map(RuleUpdate::insert).collect()
+    };
 
     if shard_mode == ShardMode::Process {
-        // Process-isolated pool, sequential per-device blocks (the
-        // bulk path was rejected at argument parsing).
-        let reader = match open_reader(path) {
-            Ok(r) => r,
-            Err(c) => return c,
-        };
         let run = run_pool_sequential(
-            &header.topo,
-            &header.actions,
-            header.layout.clone(),
-            header.properties.clone(),
+            &net.topo,
+            &net.actions,
+            net.layout.clone(),
+            net.properties.clone(),
             quiet,
-            |sink| stream_network_fibs(reader, |dev, rules| {
-                sink(dev, rules.into_iter().map(RuleUpdate::insert).collect());
+            |sink| {
+                for (dev, rules) in &net.fibs {
+                    sink(*dev, inserts(rules));
+                }
                 Ok(())
-            })
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
+            },
         );
         return match run {
-            Ok(violated) => {
-                if violated {
-                    ExitCode::from(1)
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
+            Ok(violated) => verdict_code(violated),
             Err(e) => {
                 eprintln!("{path}: {e}");
                 ExitCode::from(2)
@@ -288,78 +227,31 @@ fn cmd_check(
     }
 
     let mut verifier = SubspaceVerifier::new(SubspaceVerifierConfig {
-        topo: header.topo.clone(),
-        actions: header.actions.clone(),
-        layout: header.layout.clone(),
+        topo: net.topo.clone(),
+        actions: net.actions.clone(),
+        layout: net.layout.clone(),
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
-        properties: header.properties.clone(),
+        properties: net.properties.clone(),
     });
-
-    // Pass 2: stream each device's FIB straight into the verifier —
-    // pipelined through the bulk-load snapshot path, or sequentially
-    // with per-device detection when --ingest-threads 0.
-    let mut violated = false;
+    // Buffer every block through the bulk-load path, then seal once.
     let t0 = std::time::Instant::now();
-    let topo = header.topo.clone();
-    let streamed = if ingest_threads >= 1 {
-        stream_network_fibs_parallel(
-            || std::fs::File::open(path).map(std::io::BufReader::new),
-            &header,
-            ingest_threads,
-            |_, rules| {
-                rules
-                    .into_iter()
-                    .map(flash_netmodel::RuleUpdate::insert)
-                    .collect::<Vec<_>>()
-            },
-            |dev, updates| {
-                verifier.ingest_bulk(dev, updates);
-                Ok(())
-            },
-        )
-        .map(|_| ())
-        .map(|()| {
-            let mut synced = header.fib_devices.clone();
-            synced.sort_unstable();
-            synced.dedup();
-            for report in verifier.seal_bulk(&synced) {
-                print_report(&report, &topo, quiet, &mut violated);
-            }
-        })
-    } else {
-        let reader = match open_reader(path) {
-            Ok(r) => r,
-            Err(c) => return c,
-        };
-        stream_network_fibs(reader, |dev, rules| {
-            let updates = rules
-                .into_iter()
-                .map(flash_netmodel::RuleUpdate::insert)
-                .collect();
-            for report in verifier.ingest_synchronized(dev, updates) {
-                print_report(&report, &topo, quiet, &mut violated);
-            }
-            Ok(())
-        })
-        .map(|_| ())
-    };
-    if let Err(e) = streamed {
-        eprintln!("{path}: {e}");
-        return ExitCode::from(2);
+    let mut synced = Vec::with_capacity(net.fibs.len());
+    for (dev, rules) in &net.fibs {
+        verifier.ingest_bulk(*dev, inserts(rules));
+        synced.push(*dev);
     }
-    let elapsed = t0.elapsed();
-
-    print_model_stats(&verifier, quiet, elapsed);
+    synced.sort_unstable();
+    synced.dedup();
+    let mut violated = false;
+    for report in verifier.seal_bulk(&synced) {
+        print_report(&report, &net.topo, quiet, &mut violated);
+    }
+    print_model_stats(&verifier, quiet, t0.elapsed());
     if show_classes {
-        print_classes(&mut verifier, &header.topo, &header.actions);
+        print_classes(&mut verifier, &net.topo, &net.actions);
     }
-
-    if violated {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    verdict_code(violated)
 }
 
 fn print_report(
@@ -487,110 +379,102 @@ fn print_model_stats(verifier: &SubspaceVerifier, quiet: bool, elapsed: std::tim
 }
 
 fn cmd_dataset(args: &[String]) -> ExitCode {
-    let mut it = args.iter();
-    let sub = it.next().map(|s| s.as_str());
-    let mut dirs = Vec::new();
+    match args.first().map(String::as_str) {
+        Some("generate") => cmd_dataset_generate(&args[1..]),
+        Some("load") => cmd_dataset_load(&args[1..]),
+        _ => usage(),
+    }
+}
+
+fn cmd_dataset_generate(args: &[String]) -> ExitCode {
+    let Some((Some(dir), flags)) =
+        parse_args(args, &["--quiet"], &["--k", "--hostbits", "--prefixes"])
+    else {
+        return usage();
+    };
     let mut quiet = false;
-    let mut show_classes = false;
     let mut k = 8u32;
     let mut host_bits = 8u32;
     let mut prefixes = 4u32;
-    let mut ingest_threads: Option<usize> = None;
-    let mut shard_mode = ShardMode::Thread;
-    let mut expect_num: Option<&str> = None;
-    for a in it {
-        if let Some(flag) = expect_num.take() {
-            if flag == "--shard-mode" {
-                let Some(m) = parse_shard_mode(a) else {
-                    eprintln!("bad value for --shard-mode: {a:?} (thread or process)");
-                    return ExitCode::from(2);
-                };
-                shard_mode = m;
-                continue;
-            }
-            let Ok(v) = a.parse::<u32>() else {
-                eprintln!("bad value for {flag}: {a:?}");
-                return ExitCode::from(2);
-            };
-            match flag {
-                "--k" => k = v,
-                "--hostbits" => host_bits = v,
-                "--prefixes" => prefixes = v,
-                "--ingest-threads" => ingest_threads = Some(v as usize),
-                _ => unreachable!(),
-            }
+    for (flag, value) in flags {
+        if flag == "--quiet" {
+            quiet = true;
             continue;
         }
-        match a.as_str() {
-            "--quiet" => quiet = true,
-            "--classes" => show_classes = true,
-            "--k" | "--hostbits" | "--prefixes" | "--ingest-threads" | "--shard-mode" => {
-                expect_num = Some(a.as_str())
-            }
-            d => dirs.push(d.to_string()),
+        let Ok(v) = value.parse::<u32>() else {
+            eprintln!("bad value for {flag}: {value:?}");
+            return ExitCode::from(2);
+        };
+        match flag {
+            "--k" => k = v,
+            "--hostbits" => host_bits = v,
+            _ => prefixes = v,
         }
     }
-    if expect_num.is_some() {
-        eprintln!("{USAGE}");
+    if k < 2 || !k.is_multiple_of(2) {
+        eprintln!("--k must be even and >= 2");
         return ExitCode::from(2);
     }
-    let Some(dir) = dirs.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    match sub {
-        Some("generate") => {
-            if k < 2 || !k.is_multiple_of(2) {
-                eprintln!("--k must be even and >= 2");
-                return ExitCode::from(2);
+    match dataset::generate_fat_tree_dataset(Path::new(dir), k, host_bits, prefixes) {
+        Ok(s) => {
+            if !quiet {
+                println!(
+                    "generated {dir}: k={k} fat tree, {} devices, {} links, \
+                     {} edge devices, {} rules",
+                    s.devices, s.links, s.edge_devices, s.rules
+                );
             }
-            match dataset::generate_fat_tree_dataset(Path::new(dir), k, host_bits, prefixes) {
-                Ok(s) => {
-                    if !quiet {
-                        println!(
-                            "generated {dir}: k={k} fat tree, {} devices, {} links, \
-                             {} edge devices, {} rules",
-                            s.devices, s.links, s.edge_devices, s.rules
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{dir}: {e}");
-                    ExitCode::from(2)
-                }
-            }
+            ExitCode::SUCCESS
         }
-        Some("load") => {
-            let threads = resolve_ingest_threads(ingest_threads);
-            // Same fail-fast as `check`: process mode defaults to the
-            // sequential path, but an explicit pipelined request is an
-            // error, reported before the dataset is opened.
-            let threads = if shard_mode == ShardMode::Process && ingest_threads.is_none() {
-                0
-            } else {
-                threads
-            };
-            if let Err(msg) = validate_shard_mode(shard_mode, threads) {
-                eprintln!("{msg}");
-                return ExitCode::from(2);
-            }
-            cmd_dataset_load(dir, show_classes, quiet, threads, shard_mode)
-        }
-        _ => {
-            eprintln!("{USAGE}");
+        Err(e) => {
+            eprintln!("{dir}: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-fn cmd_dataset_load(
-    dir: &str,
-    show_classes: bool,
-    quiet: bool,
-    ingest_threads: usize,
-    shard_mode: ShardMode,
-) -> ExitCode {
+fn cmd_dataset_load(args: &[String]) -> ExitCode {
+    let Some((Some(dir), flags)) = parse_args(
+        args,
+        &["--classes", "--quiet"],
+        &["--ingest-threads", "--shard-mode"],
+    ) else {
+        return usage();
+    };
+    let mut show_classes = false;
+    let mut quiet = false;
+    let mut ingest_threads: Option<usize> = None;
+    let mut shard_mode = ShardMode::Thread;
+    for (flag, value) in flags {
+        match flag {
+            "--classes" => show_classes = true,
+            "--quiet" => quiet = true,
+            "--ingest-threads" => match value.parse::<usize>() {
+                Ok(n) if n >= 1 => ingest_threads = Some(n),
+                _ => {
+                    eprintln!("--ingest-threads takes a reader count N >= 1, got {value:?}");
+                    return usage();
+                }
+            },
+            _ => {
+                let Some(m) = parse_shard_mode(value) else {
+                    eprintln!("bad value for --shard-mode: {value:?} (thread or process)");
+                    return ExitCode::from(2);
+                };
+                shard_mode = m;
+            }
+        }
+    }
+    // Fail fast, before the dataset is opened: process mode runs the
+    // sequential per-device path, which has no readers to set.
+    if shard_mode == ShardMode::Process && ingest_threads.is_some() {
+        eprintln!(
+            "--shard-mode process cannot run the pipelined bulk-ingest path \
+             (bulk ingestion requires thread mode): drop --ingest-threads or \
+             --shard-mode process"
+        );
+        return ExitCode::from(2);
+    }
     let header = match dataset::load_header(Path::new(dir)) {
         Ok(h) => h,
         Err(e) => {
@@ -637,13 +521,7 @@ fn cmd_dataset_load(
             },
         );
         return match run {
-            Ok(violated) => {
-                if violated {
-                    ExitCode::from(1)
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
+            Ok(violated) => verdict_code(violated),
             Err(e) => {
                 eprintln!("{dir}: {e}");
                 ExitCode::from(2)
@@ -658,139 +536,104 @@ fn cmd_dataset_load(
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
     });
-    // Pass 2: stream rules into the verifier (ids agree with pass 1) —
-    // parallel readers resolving actions read-only, feeding the
-    // bulk-load snapshot path; or the legacy per-device sequential path
-    // when --ingest-threads 0.
-    let mut violated = false;
-    let topo = header.topo.clone();
+    // Pass 2: parallel readers resolve actions read-only against the
+    // pass-1 table and feed the bulk-load path; one seal at the end.
+    let threads = ingest_threads.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     let t0 = std::time::Instant::now();
-    let streamed = if ingest_threads >= 1 {
-        header
-            .stream_routes_parallel(
-                &actions,
-                ingest_threads,
-                |_, rules| {
-                    rules
-                        .into_iter()
-                        .map(flash_netmodel::RuleUpdate::insert)
-                        .collect::<Vec<_>>()
-                },
-                |dev, updates| {
-                    verifier.ingest_bulk(dev, updates);
-                    Ok(())
-                },
-            )
-            .map(|_| {
-                for report in verifier.seal_bulk(&header.route_devices) {
-                    print_report(&report, &topo, quiet, &mut violated);
-                }
-            })
-    } else {
-        header
-            .stream_routes_resolved(&actions, |dev, rules| {
-                let updates = rules
-                    .into_iter()
-                    .map(flash_netmodel::RuleUpdate::insert)
-                    .collect();
-                for report in verifier.ingest_synchronized(dev, updates) {
-                    print_report(&report, &topo, quiet, &mut violated);
-                }
-                Ok(())
-            })
-            .map(|_| ())
-    };
+    let streamed = header.stream_routes_parallel(
+        &actions,
+        threads,
+        |_, rules| rules.into_iter().map(RuleUpdate::insert).collect::<Vec<_>>(),
+        |dev, updates| {
+            verifier.ingest_bulk(dev, updates);
+            Ok(())
+        },
+    );
     if let Err(e) = streamed {
         eprintln!("{dir}: {e}");
         return ExitCode::from(2);
     }
-    let elapsed = t0.elapsed();
-    print_model_stats(&verifier, quiet, elapsed);
+    let mut violated = false;
+    for report in verifier.seal_bulk(&header.route_devices) {
+        print_report(&report, &header.topo, quiet, &mut violated);
+    }
+    print_model_stats(&verifier, quiet, t0.elapsed());
     if show_classes {
         print_classes(&mut verifier, &header.topo, &actions);
     }
-    if violated {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    verdict_code(violated)
 }
 
 /// `flash-cli query`: load a dataset into a sharded pool with the
 /// epoch-snapshot query tier attached, seal it, and answer one
 /// reachability or waypoint question against the sealed snapshots.
 fn cmd_query(args: &[String]) -> ExitCode {
-    let mut dirs = Vec::new();
+    let Some((Some(dir), flags)) = parse_args(
+        args,
+        &["--quiet"],
+        &["--src", "--dst", "--via", "--prefix", "--shard-bits", "--readers", "--shard-mode"],
+    ) else {
+        return usage();
+    };
     let mut quiet = false;
-    let mut src: Option<String> = None;
-    let mut dst: Option<String> = None;
-    let mut via: Option<String> = None;
+    let mut src: Option<&str> = None;
+    let mut dst: Option<&str> = None;
+    let mut via: Option<&str> = None;
     let mut prefix: Option<(u64, u32)> = None;
     let mut shard_bits = 2u32;
     let mut readers = 4usize;
-    let mut expect: Option<&str> = None;
-    for a in args {
-        if let Some(flag) = expect.take() {
-            match flag {
-                "--src" => src = Some(a.clone()),
-                "--dst" => dst = Some(a.clone()),
-                "--via" => via = Some(a.clone()),
-                "--prefix" => {
-                    let Some(p) = parse_prefix(a) else {
-                        eprintln!("bad value for --prefix: {a:?} (A.B.C.D/L or V/L)");
-                        return ExitCode::from(2);
-                    };
-                    prefix = Some(p);
-                }
-                "--shard-bits" => {
-                    let Ok(v) = a.parse::<u32>() else {
-                        eprintln!("bad value for --shard-bits: {a:?}");
-                        return ExitCode::from(2);
-                    };
-                    shard_bits = v;
-                }
-                "--readers" => {
-                    let Ok(v) = a.parse::<usize>() else {
-                        eprintln!("bad value for --readers: {a:?}");
-                        return ExitCode::from(2);
-                    };
-                    readers = v.max(1);
-                }
-                "--shard-mode" => match parse_shard_mode(a) {
-                    Some(ShardMode::Thread) => {}
-                    Some(ShardMode::Process) => {
-                        // Fail fast, before the dataset is opened: the
-                        // query tier shares snapshot node arenas with
-                        // the shard workers.
-                        eprintln!(
-                            "flash-cli query requires --shard-mode thread: the snapshot \
-                             query tier shares node arenas with the shard workers"
-                        );
-                        return ExitCode::from(2);
-                    }
-                    None => {
-                        eprintln!("bad value for --shard-mode: {a:?} (thread or process)");
-                        return ExitCode::from(2);
-                    }
-                },
-                _ => unreachable!(),
-            }
-            continue;
-        }
-        match a.as_str() {
+    for (flag, value) in flags {
+        match flag {
             "--quiet" => quiet = true,
-            "--src" | "--dst" | "--via" | "--prefix" | "--shard-bits" | "--readers"
-            | "--shard-mode" => expect = Some(a.as_str()),
-            d => dirs.push(d.to_string()),
+            "--src" => src = Some(value),
+            "--dst" => dst = Some(value),
+            "--via" => via = Some(value),
+            "--prefix" => {
+                let Some(p) = parse_prefix(value) else {
+                    eprintln!("bad value for --prefix: {value:?} (A.B.C.D/L or V/L)");
+                    return ExitCode::from(2);
+                };
+                prefix = Some(p);
+            }
+            "--shard-bits" => {
+                let Ok(v) = value.parse::<u32>() else {
+                    eprintln!("bad value for --shard-bits: {value:?}");
+                    return ExitCode::from(2);
+                };
+                shard_bits = v;
+            }
+            "--readers" => {
+                let Ok(v) = value.parse::<usize>() else {
+                    eprintln!("bad value for --readers: {value:?}");
+                    return ExitCode::from(2);
+                };
+                readers = v.max(1);
+            }
+            _ => match parse_shard_mode(value) {
+                Some(ShardMode::Thread) => {}
+                Some(ShardMode::Process) => {
+                    // Fail fast, before the dataset is opened: the query
+                    // tier shares snapshot node arenas with the shard
+                    // workers.
+                    eprintln!(
+                        "flash-cli query requires --shard-mode thread: the snapshot \
+                         query tier shares node arenas with the shard workers"
+                    );
+                    return ExitCode::from(2);
+                }
+                None => {
+                    eprintln!("bad value for --shard-mode: {value:?} (thread or process)");
+                    return ExitCode::from(2);
+                }
+            },
         }
     }
-    if let Some(flag) = expect {
-        eprintln!("{flag} needs a value");
-        return ExitCode::from(2);
-    }
-    let (Some(dir), Some(src), Some(dst)) = (dirs.first(), src, dst) else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+    let (Some(src), Some(dst)) = (src, dst) else {
+        return usage();
     };
 
     let header = match dataset::load_header(Path::new(dir)) {
@@ -807,7 +650,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
         }
         id
     };
-    let (Some(src), Some(dst)) = (lookup(&src), lookup(&dst)) else {
+    let (Some(src), Some(dst)) = (lookup(src), lookup(dst)) else {
         return ExitCode::from(2);
     };
     let via = match &via {

@@ -6,9 +6,10 @@
 //! *not* required to agree across the boundary (the loader re-interns
 //! both), so behaviours are compared by device/next-hop *names*.
 
+use flash_core::adapter::parse_network;
 use flash_core::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
 use flash_imt::SubspaceSpec;
-use flash_netmodel::{ActionTable, RuleUpdate, Topology};
+use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, Rule, RuleUpdate, Topology};
 use flash_workloads::dataset;
 use flash_workloads::{fat_tree, fibgen};
 use std::path::PathBuf;
@@ -54,20 +55,29 @@ fn behaviours(
     out
 }
 
-fn verify_stream(
+/// A whole-space verifier of loop freedom.
+fn new_verifier(
     topo: &Arc<Topology>,
     actions: &Arc<ActionTable>,
-    layout: &flash_netmodel::HeaderLayout,
-    blocks: impl IntoIterator<Item = (flash_netmodel::DeviceId, Vec<flash_netmodel::Rule>)>,
-) -> (SubspaceVerifier, Vec<PropertyReport>) {
-    let mut v = SubspaceVerifier::new(SubspaceVerifierConfig {
+    layout: &HeaderLayout,
+) -> SubspaceVerifier {
+    SubspaceVerifier::new(SubspaceVerifierConfig {
         topo: topo.clone(),
         actions: actions.clone(),
         layout: layout.clone(),
         subspace: SubspaceSpec::whole(),
         bst: usize::MAX,
         properties: vec![Property::LoopFreedom],
-    });
+    })
+}
+
+fn verify_stream(
+    topo: &Arc<Topology>,
+    actions: &Arc<ActionTable>,
+    layout: &HeaderLayout,
+    blocks: impl IntoIterator<Item = (DeviceId, Vec<Rule>)>,
+) -> (SubspaceVerifier, Vec<PropertyReport>) {
+    let mut v = new_verifier(topo, actions, layout);
     let mut reports = Vec::new();
     for (dev, rules) in blocks {
         let updates = rules.into_iter().map(RuleUpdate::insert).collect();
@@ -127,52 +137,92 @@ fn generated_dataset_verifies_like_in_memory() {
     );
 }
 
+/// Seals `blocks` through the bulk-load path.
+fn bulk_seal(
+    topo: &Arc<Topology>,
+    actions: &Arc<ActionTable>,
+    layout: &HeaderLayout,
+    blocks: &[(DeviceId, Vec<Rule>)],
+) -> (SubspaceVerifier, Vec<PropertyReport>) {
+    let mut v = new_verifier(topo, actions, layout);
+    let mut synced = Vec::new();
+    for (dev, rules) in blocks {
+        v.ingest_bulk(*dev, rules.iter().copied().map(RuleUpdate::insert).collect());
+        synced.push(*dev);
+    }
+    synced.sort_unstable();
+    synced.dedup();
+    let reports = v.seal_bulk(&synced);
+    (v, reports)
+}
+
 #[test]
 fn export_reload_preserves_verification() {
-    // Export an *in-memory* generated network (rather than generating
-    // on disk directly) and check the reloaded copy verifies the same.
+    // Two data planes held in memory, exported and reloaded through the
+    // parallel reader: a generated fat tree, and the paper's Figure 2 as
+    // a `.network` file. Large inputs come in the dataset layout, so a
+    // parsed file must verify the same there (its `require` lines have
+    // no place in the layout and stay behind).
     let ft = fat_tree(4, 8);
     let fibs = fibgen::generate(&ft, fibgen::FibDiscipline::Apsp, 2);
-    let dir = tmpdir("export");
-    let edge: Vec<flash_netmodel::DeviceId> = ft.tors.iter().flatten().copied().collect();
-    dataset::export_dataset(
-        &dir,
-        &ft.topo,
-        &fibs.layout,
-        &fibs.actions,
-        &edge,
-        fibs.fibs.iter().map(|f| (f.device, f.rules.as_slice())),
-    )
-    .expect("export");
+    let net = parse_network(include_str!("../examples/figure2.net")).expect("parse");
+    let planes = [
+        (
+            "export",
+            ft.topo.clone(),
+            fibs.layout.clone(),
+            Arc::new(fibs.actions.clone()),
+            ft.tors.iter().flatten().copied().collect(),
+            fibs.fibs.iter().map(|f| (f.device, f.rules.clone())).collect(),
+        ),
+        ("network", net.topo, net.layout, net.actions, Vec::new(), net.fibs),
+    ];
+    for (tag, topo, layout, actions, edge, blocks) in planes {
+        let (mut mem_v, mem_reports) = bulk_seal(&topo, &actions, &layout, &blocks);
+        let dir = tmpdir(tag);
+        dataset::export_dataset(
+            &dir,
+            &topo,
+            &layout,
+            &actions,
+            &edge,
+            blocks.iter().map(|(dev, rules)| (*dev, rules.as_slice())),
+        )
+        .expect("export");
 
-    let mem_actions = Arc::new(fibs.actions.clone());
-    let (mut mem_v, _) = verify_stream(
-        &ft.topo,
-        &mem_actions,
-        &fibs.layout,
-        fibs.fibs.iter().map(|f| (f.device, f.rules.clone())),
-    );
+        let header = dataset::load_header(&dir).expect("load header");
+        assert_eq!(header.edge_devices.len(), edge.len());
+        let mut loaded_actions = ActionTable::new();
+        header
+            .stream_routes(&mut loaded_actions, |_, _| Ok(()))
+            .expect("pass 1");
+        let loaded_actions = Arc::new(loaded_actions);
+        let mut disk_v = new_verifier(&header.topo, &loaded_actions, &header.layout);
+        header
+            .stream_routes_parallel(
+                &loaded_actions,
+                2,
+                |_, rules| rules.into_iter().map(RuleUpdate::insert).collect::<Vec<_>>(),
+                |dev, updates| {
+                    disk_v.ingest_bulk(dev, updates);
+                    Ok(())
+                },
+            )
+            .expect("pass 2");
+        let disk_reports = disk_v.seal_bulk(&header.route_devices);
+        let _ = std::fs::remove_dir_all(&dir);
 
-    let header = dataset::load_header(&dir).expect("load header");
-    assert_eq!(header.edge_devices.len(), edge.len());
-    let mut loaded_actions = ActionTable::new();
-    header
-        .stream_routes(&mut loaded_actions, |_, _| Ok(()))
-        .expect("pass 1");
-    let loaded_actions = Arc::new(loaded_actions);
-    let mut blocks = Vec::new();
-    let mut pass2 = ActionTable::new();
-    header
-        .stream_routes(&mut pass2, |dev, rules| {
-            blocks.push((dev, rules));
-            Ok(())
-        })
-        .expect("pass 2");
-    let (mut disk_v, _) = verify_stream(&header.topo, &loaded_actions, &header.layout, blocks);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    assert_eq!(
-        behaviours(&mut mem_v, &ft.topo, &mem_actions),
-        behaviours(&mut disk_v, &header.topo, &loaded_actions),
-    );
+        assert_eq!(mem_reports, vec![PropertyReport::LoopFreedomHolds], "{tag}");
+        assert_eq!(disk_reports, mem_reports, "{tag}");
+        assert_eq!(
+            mem_v.manager().model().len(),
+            disk_v.manager().model().len(),
+            "{tag}: class counts diverge across the dataset boundary"
+        );
+        assert_eq!(
+            behaviours(&mut mem_v, &topo, &actions),
+            behaviours(&mut disk_v, &header.topo, &loaded_actions),
+            "{tag}: per-class forwarding behaviour diverges across the dataset boundary"
+        );
+    }
 }

@@ -1,21 +1,20 @@
-//! Pipelined parallel ingestion must be observationally equivalent to
-//! sequential ingestion: identical equivalence-class fingerprints and
-//! identical cumulative verdict sets, for
+//! Bulk ingestion must be observationally equivalent to sequential
+//! ingestion: identical equivalence-class fingerprints and identical
+//! cumulative verdict sets, for
 //!
 //! * the on-disk dataset layout (`stream_routes_parallel` + bulk-load
 //!   snapshot seal vs the sequential resolved pass with per-device
 //!   detection), at 1, 2 and 4 reader threads;
-//! * the `.network` text path (`stream_network_fibs_parallel`), same
-//!   thread counts;
+//! * a `.network` file, parsed once by `parse_network` (`ingest_bulk` +
+//!   `seal_bulk` vs per-device `ingest_synchronized`), with a
+//!   requirement whose verdict both paths must reach;
 //! * the shard pool's bulk-ingest protocol (`ingest` + `seal_snapshot`
 //!   vs one `submit`), including a forced mark-sweep collection
 //!   mid-load; and
 //! * the verifier-level bulk-load fast path vs incremental replay of
 //!   the same snapshot, including a snapshot that contains a loop.
 
-use flash_core::adapter::{
-    parse_network_header, stream_network_fibs, stream_network_fibs_parallel,
-};
+use flash_core::adapter::parse_network;
 use flash_core::{
     Property, ShardPool, ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
 };
@@ -127,21 +126,22 @@ require reach 10.0.1.0/24 from s1 path \"s1 .* gw\"
 ";
 
 #[test]
-fn network_parallel_ingest_matches_sequential() {
-    let header = parse_network_header(std::io::Cursor::new(NETWORK)).unwrap();
+fn network_bulk_ingest_matches_sequential() {
+    let net = parse_network(NETWORK).unwrap();
+    let new_verifier = || {
+        verifier(
+            net.topo.clone(),
+            net.actions.clone(),
+            net.layout.clone(),
+            net.properties.clone(),
+        )
+    };
+    let inserts = |rules: &[Rule]| rules.iter().copied().map(RuleUpdate::insert).collect();
 
-    let mut seq = verifier(
-        header.topo.clone(),
-        header.actions.clone(),
-        header.layout.clone(),
-        header.properties.clone(),
-    );
-    stream_network_fibs(std::io::Cursor::new(NETWORK), |dev, rules| {
-        let updates = rules.into_iter().map(RuleUpdate::insert).collect();
-        seq.ingest_synchronized(dev, updates);
-        Ok(())
-    })
-    .unwrap();
+    let mut seq = new_verifier();
+    for (dev, rules) in &net.fibs {
+        seq.ingest_synchronized(*dev, inserts(rules));
+    }
     let want = observe(&seq);
     assert!(
         want.1.iter().any(|k| k.contains("reach")),
@@ -149,30 +149,15 @@ fn network_parallel_ingest_matches_sequential() {
         want.1
     );
 
-    let mut synced = header.fib_devices.clone();
+    let mut bulk = new_verifier();
+    for (dev, rules) in &net.fibs {
+        bulk.ingest_bulk(*dev, inserts(rules));
+    }
+    let mut synced: Vec<DeviceId> = net.fibs.iter().map(|(dev, _)| *dev).collect();
     synced.sort_unstable();
     synced.dedup();
-    for threads in [1usize, 2, 4] {
-        let mut par = verifier(
-            header.topo.clone(),
-            header.actions.clone(),
-            header.layout.clone(),
-            header.properties.clone(),
-        );
-        stream_network_fibs_parallel(
-            || Ok(std::io::Cursor::new(NETWORK)),
-            &header,
-            threads,
-            |_, rules| rules.into_iter().map(RuleUpdate::insert).collect::<Vec<_>>(),
-            |dev, updates| {
-                par.ingest_bulk(dev, updates);
-                Ok(())
-            },
-        )
-        .unwrap();
-        par.seal_bulk(&synced);
-        assert_eq!(observe(&par), want, "{threads} reader threads");
-    }
+    bulk.seal_bulk(&synced);
+    assert_eq!(observe(&bulk), want);
 }
 
 /// A 4-device snapshot over an 8-bit dst space: a loop-free chain plus
