@@ -1,11 +1,12 @@
 //! `flash-cli` — verify a network described in the text adapter format.
 //!
 //! ```text
-//! flash-cli check <network-file> [--classes] [--quiet] [--shard-mode thread|process]
+//! flash-cli check <network-file> [--classes] [--quiet]
 //! flash-cli journal <journal-file>
 //! flash-cli dataset generate <dir> [--k N] [--hostbits N] [--prefixes N] [--quiet]
 //! flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N]
-//!                              [--shard-mode thread|process]
+//! flash-cli query <dataset-dir> --src <device> --dst <device> [--via <device>]
+//!                 [--prefix <hex>/<len>] [--shard-bits N] [--readers N] [--quiet]
 //! ```
 //!
 //! `check` verifies a text network file (see `flash_core::adapter` for
@@ -29,25 +30,21 @@
 //!
 //! `query` loads a dataset directory into a sharded pool with the
 //! epoch-snapshot query tier attached and answers one reachability (or,
-//! with `--via`, waypoint) question against the sealed snapshots. Exit
-//! code 0 when every intersecting class satisfies the property, 1
-//! otherwise.
-//!
-//! `--shard-mode thread|process` selects worker isolation for `check`
-//! and `dataset load` (default `thread`). Process mode submits one block
-//! per device to a process-isolated pool, sequentially; it cannot run
-//! the bulk-load path, so `dataset load` rejects it together with
-//! `--ingest-threads`, and `query` (snapshots share node arenas) rejects
-//! it outright, both before any file is touched.
+//! with `--via`, waypoint) question against the sealed snapshots.
+//! `--prefix` is spelled as in the route files (`40/7`: hex over the
+//! `dst` field's width, no bit set below the length) and is checked
+//! against that width before any route file is read; without it the
+//! question covers the whole space. Exit code 0 when every intersecting
+//! class satisfies the property, 1 otherwise.
 //!
 //! An unknown flag, a flag without its value or a second positional
 //! argument prints the usage message and exits 2.
 
 use flash_core::adapter::{format_prefix, parse_network};
 use flash_core::{
-    AnswerKind, Backpressure, EpochJournal, EpochReport, JournalEntry, JournalTail, Property,
-    PropertyReport, Query, QueryHub, QueryService, QueryServiceConfig, ShardMode, ShardPool,
-    ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
+    AnswerKind, Backpressure, EpochJournal, JournalEntry, JournalTail, Property, PropertyReport,
+    Query, QueryHub, QueryService, QueryServiceConfig, ShardPool, ShardPoolConfig,
+    SubspaceVerifier, SubspaceVerifierConfig,
 };
 use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{ActionTable, DeviceId, FieldId, HeaderLayout, RuleUpdate, Topology};
@@ -57,14 +54,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str =
-    "usage: flash-cli check <network-file> [--classes] [--quiet] [--shard-mode thread|process]\n       \
+const USAGE: &str = "usage: flash-cli check <network-file> [--classes] [--quiet]\n       \
      flash-cli journal <journal-file>\n       \
      flash-cli dataset generate <dir> [--k N] [--hostbits N] [--prefixes N] [--quiet]\n       \
-     flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N>=1] \
-     [--shard-mode thread|process]\n       \
+     flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N>=1]\n       \
      flash-cli query <dataset-dir> --src <device> --dst <device> [--via <device>] \
-     [--prefix A.B.C.D/L] [--shard-bits N] [--readers N] [--quiet]";
+     [--prefix <hex>/<len>] [--shard-bits N] [--readers N] [--quiet]";
 
 /// Prints the usage message; the exit code for a malformed command line.
 fn usage() -> ExitCode {
@@ -95,41 +90,6 @@ fn parse_args<'a>(args: &'a [String], switches: &[&str], valued: &[&str]) -> Opt
     Some((positional, flags))
 }
 
-/// Parses a `--shard-mode` value.
-fn parse_shard_mode(v: &str) -> Option<ShardMode> {
-    match v {
-        "thread" => Some(ShardMode::Thread),
-        "process" => Some(ShardMode::Process),
-        _ => None,
-    }
-}
-
-/// Parses `A.B.C.D/L` (dotted quad) or `V/L` (raw integer) into a
-/// field-width-aligned `(value, len)` prefix.
-fn parse_prefix(s: &str) -> Option<(u64, u32)> {
-    let (v, l) = s.split_once('/')?;
-    let len: u32 = l.parse().ok()?;
-    let value = if v.contains('.') {
-        let mut acc = 0u64;
-        let mut parts = 0u32;
-        for p in v.split('.') {
-            let octet: u64 = p.parse().ok()?;
-            if octet > 255 {
-                return None;
-            }
-            acc = (acc << 8) | octet;
-            parts += 1;
-        }
-        if parts != 4 {
-            return None;
-        }
-        acc
-    } else {
-        v.parse().ok()?
-    };
-    Some((value, len))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -154,26 +114,11 @@ fn verdict_code(violated: bool) -> ExitCode {
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let Some((Some(path), flags)) = parse_args(args, &["--classes", "--quiet"], &["--shard-mode"])
-    else {
+    let Some((Some(path), flags)) = parse_args(args, &["--classes", "--quiet"], &[]) else {
         return usage();
     };
-    let mut show_classes = false;
-    let mut quiet = false;
-    let mut shard_mode = ShardMode::Thread;
-    for (flag, value) in flags {
-        match flag {
-            "--classes" => show_classes = true,
-            "--quiet" => quiet = true,
-            _ => {
-                let Some(m) = parse_shard_mode(value) else {
-                    eprintln!("bad value for --shard-mode: {value:?} (thread or process)");
-                    return ExitCode::from(2);
-                };
-                shard_mode = m;
-            }
-        }
-    }
+    let show_classes = flags.iter().any(|&(f, _)| f == "--classes");
+    let quiet = flags.iter().any(|&(f, _)| f == "--quiet");
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -199,33 +144,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
             net.properties.len()
         );
     }
-    let inserts = |rules: &[flash_netmodel::Rule]| -> Vec<RuleUpdate> {
-        rules.iter().copied().map(RuleUpdate::insert).collect()
-    };
-
-    if shard_mode == ShardMode::Process {
-        let run = run_pool_sequential(
-            &net.topo,
-            &net.actions,
-            net.layout.clone(),
-            net.properties.clone(),
-            quiet,
-            |sink| {
-                for (dev, rules) in &net.fibs {
-                    sink(*dev, inserts(rules));
-                }
-                Ok(())
-            },
-        );
-        return match run {
-            Ok(violated) => verdict_code(violated),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let mut verifier = SubspaceVerifier::new(SubspaceVerifierConfig {
         topo: net.topo.clone(),
         actions: net.actions.clone(),
@@ -238,7 +156,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let t0 = std::time::Instant::now();
     let mut synced = Vec::with_capacity(net.fibs.len());
     for (dev, rules) in &net.fibs {
-        verifier.ingest_bulk(*dev, inserts(rules));
+        verifier.ingest_bulk(*dev, rules.iter().copied().map(RuleUpdate::insert).collect());
         synced.push(*dev);
     }
     synced.sort_unstable();
@@ -281,71 +199,6 @@ fn print_report(
             }
         }
     }
-}
-
-fn print_epoch(ep: &EpochReport, topo: &Topology, quiet: bool, violated: &mut bool) {
-    for s in &ep.shards {
-        for r in &s.reports {
-            print_report(r, topo, quiet, violated);
-        }
-    }
-    for (_, r) in &ep.late {
-        print_report(r, topo, quiet, violated);
-    }
-}
-
-/// Runs a sequential per-device verification through a process-isolated
-/// [`ShardPool`] (one whole-space shard): each device's FIB is one
-/// submitted block, verdicts print as epochs complete. Returns whether
-/// any property was violated.
-fn run_pool_sequential(
-    topo: &Arc<Topology>,
-    actions: &Arc<ActionTable>,
-    layout: HeaderLayout,
-    properties: Vec<Property>,
-    quiet: bool,
-    stream: impl FnOnce(&mut dyn FnMut(DeviceId, Vec<RuleUpdate>)) -> Result<(), String>,
-) -> Result<bool, String> {
-    let t0 = std::time::Instant::now();
-    let mut cfg = ShardPoolConfig::model_only(layout, SubspacePlan::single(), usize::MAX, 1);
-    cfg.topo = topo.clone();
-    cfg.actions = actions.clone();
-    cfg.properties = properties;
-    cfg.recovery.mode = ShardMode::Process;
-    let mut pool = ShardPool::spawn(cfg).map_err(|e| e.to_string())?;
-    let mut violated = false;
-    let mut classes = 0usize;
-    {
-        let mut sink = |dev: DeviceId, updates: Vec<RuleUpdate>| {
-            pool.submit(updates.into_iter().map(|u| (dev, u)).collect());
-            while let Some(ep) = pool.try_recv_epoch() {
-                classes = ep.total_classes();
-                print_epoch(&ep, topo, quiet, &mut violated);
-            }
-        };
-        stream(&mut sink)?;
-    }
-    let outcome = pool.drain(Duration::from_secs(600));
-    for ep in &outcome.epochs {
-        classes = ep.total_classes();
-        print_epoch(ep, topo, quiet, &mut violated);
-    }
-    for (_, r) in &outcome.late {
-        print_report(r, topo, quiet, &mut violated);
-    }
-    if !outcome.abandoned.is_empty() {
-        return Err(format!(
-            "workers {:?} missed the drain deadline",
-            outcome.abandoned
-        ));
-    }
-    if !quiet {
-        println!(
-            "model: {classes} equivalence classes (process-isolated shard pool), {:.1?}",
-            t0.elapsed()
-        );
-    }
-    Ok(violated)
 }
 
 fn print_model_stats(verifier: &SubspaceVerifier, quiet: bool, elapsed: std::time::Duration) {
@@ -434,46 +287,26 @@ fn cmd_dataset_generate(args: &[String]) -> ExitCode {
 }
 
 fn cmd_dataset_load(args: &[String]) -> ExitCode {
-    let Some((Some(dir), flags)) = parse_args(
-        args,
-        &["--classes", "--quiet"],
-        &["--ingest-threads", "--shard-mode"],
-    ) else {
+    let Some((Some(dir), flags)) =
+        parse_args(args, &["--classes", "--quiet"], &["--ingest-threads"])
+    else {
         return usage();
     };
     let mut show_classes = false;
     let mut quiet = false;
     let mut ingest_threads: Option<usize> = None;
-    let mut shard_mode = ShardMode::Thread;
     for (flag, value) in flags {
         match flag {
             "--classes" => show_classes = true,
             "--quiet" => quiet = true,
-            "--ingest-threads" => match value.parse::<usize>() {
+            _ => match value.parse::<usize>() {
                 Ok(n) if n >= 1 => ingest_threads = Some(n),
                 _ => {
                     eprintln!("--ingest-threads takes a reader count N >= 1, got {value:?}");
                     return usage();
                 }
             },
-            _ => {
-                let Some(m) = parse_shard_mode(value) else {
-                    eprintln!("bad value for --shard-mode: {value:?} (thread or process)");
-                    return ExitCode::from(2);
-                };
-                shard_mode = m;
-            }
         }
-    }
-    // Fail fast, before the dataset is opened: process mode runs the
-    // sequential per-device path, which has no readers to set.
-    if shard_mode == ShardMode::Process && ingest_threads.is_some() {
-        eprintln!(
-            "--shard-mode process cannot run the pipelined bulk-ingest path \
-             (bulk ingestion requires thread mode): drop --ingest-threads or \
-             --shard-mode process"
-        );
-        return ExitCode::from(2);
     }
     let header = match dataset::load_header(Path::new(dir)) {
         Ok(h) => h,
@@ -503,31 +336,6 @@ fn cmd_dataset_load(args: &[String]) -> ExitCode {
     }
     let actions = Arc::new(actions);
     let layout: HeaderLayout = header.layout.clone();
-    if shard_mode == ShardMode::Process {
-        let run = run_pool_sequential(
-            &header.topo,
-            &actions,
-            layout,
-            vec![Property::LoopFreedom],
-            quiet,
-            |sink| {
-                header
-                    .stream_routes_resolved(&actions, |dev, rules| {
-                        sink(dev, rules.into_iter().map(RuleUpdate::insert).collect());
-                        Ok(())
-                    })
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            },
-        );
-        return match run {
-            Ok(violated) => verdict_code(violated),
-            Err(e) => {
-                eprintln!("{dir}: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
     let mut verifier = SubspaceVerifier::new(SubspaceVerifierConfig {
         topo: header.topo.clone(),
         actions: actions.clone(),
@@ -575,7 +383,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
     let Some((Some(dir), flags)) = parse_args(
         args,
         &["--quiet"],
-        &["--src", "--dst", "--via", "--prefix", "--shard-bits", "--readers", "--shard-mode"],
+        &["--src", "--dst", "--via", "--prefix", "--shard-bits", "--readers"],
     ) else {
         return usage();
     };
@@ -583,7 +391,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
     let mut src: Option<&str> = None;
     let mut dst: Option<&str> = None;
     let mut via: Option<&str> = None;
-    let mut prefix: Option<(u64, u32)> = None;
+    let mut prefix: Option<&str> = None;
     let mut shard_bits = 2u32;
     let mut readers = 4usize;
     for (flag, value) in flags {
@@ -592,13 +400,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
             "--src" => src = Some(value),
             "--dst" => dst = Some(value),
             "--via" => via = Some(value),
-            "--prefix" => {
-                let Some(p) = parse_prefix(value) else {
-                    eprintln!("bad value for --prefix: {value:?} (A.B.C.D/L or V/L)");
-                    return ExitCode::from(2);
-                };
-                prefix = Some(p);
-            }
+            "--prefix" => prefix = Some(value),
             "--shard-bits" => {
                 let Ok(v) = value.parse::<u32>() else {
                     eprintln!("bad value for --shard-bits: {value:?}");
@@ -606,30 +408,13 @@ fn cmd_query(args: &[String]) -> ExitCode {
                 };
                 shard_bits = v;
             }
-            "--readers" => {
+            _ => {
                 let Ok(v) = value.parse::<usize>() else {
                     eprintln!("bad value for --readers: {value:?}");
                     return ExitCode::from(2);
                 };
                 readers = v.max(1);
             }
-            _ => match parse_shard_mode(value) {
-                Some(ShardMode::Thread) => {}
-                Some(ShardMode::Process) => {
-                    // Fail fast, before the dataset is opened: the query
-                    // tier shares snapshot node arenas with the shard
-                    // workers.
-                    eprintln!(
-                        "flash-cli query requires --shard-mode thread: the snapshot \
-                         query tier shares node arenas with the shard workers"
-                    );
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("bad value for --shard-mode: {value:?} (thread or process)");
-                    return ExitCode::from(2);
-                }
-            },
         }
     }
     let (Some(src), Some(dst)) = (src, dst) else {
@@ -660,7 +445,19 @@ fn cmd_query(args: &[String]) -> ExitCode {
         },
         None => None,
     };
-    let (prefix_value, prefix_len) = prefix.unwrap_or((0, 0));
+    // The route files' spelling, checked against the dst field's width
+    // before any route file is read.
+    let width = header.layout.field(FieldId(0)).width;
+    let (prefix_value, prefix_len) = match prefix {
+        None => (0, 0),
+        Some(p) => match dataset::parse_route_prefix(p, width) {
+            Ok(v) => v,
+            Err(e) => {
+                eprintln!("bad value for --prefix: {p:?}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+    };
 
     // Pass 1 over the route files: the complete action table.
     let mut actions = ActionTable::new();
@@ -698,7 +495,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
     let streamed = header.stream_routes_resolved(&actions, |dev, rules| {
         let updates: Vec<(DeviceId, RuleUpdate)> =
             rules.into_iter().map(|r| (dev, RuleUpdate::insert(r))).collect();
-        pool.ingest(updates).expect("thread-mode pool accepts bulk ingest");
+        pool.ingest(updates).expect("the pool accepts bulk ingest");
         Ok(())
     });
     if let Err(e) = streamed {
@@ -706,7 +503,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     pool.seal_snapshot(header.route_devices.clone())
-        .expect("thread-mode pool accepts seal");
+        .expect("the pool accepts a seal");
     let Some(sealed) = pool.recv_epoch(Duration::from_secs(600)) else {
         eprintln!("{dir}: seal epoch did not complete");
         return ExitCode::from(2);
@@ -757,11 +554,10 @@ fn cmd_query(args: &[String]) -> ExitCode {
     };
     println!(
         "{verdict}: {good}/{classes} intersecting classes {what} \
-         {} -> {}{} for {} ({elapsed:.1?})",
+         {} -> {}{} for {prefix_value:x}/{prefix_len} ({elapsed:.1?})",
         header.topo.name(src),
         header.topo.name(dst),
         via.map(|v| format!(" via {}", header.topo.name(v))).unwrap_or_default(),
-        format_prefix(prefix_value, prefix_len),
     );
     if !quiet {
         let epochs: Vec<String> = answer

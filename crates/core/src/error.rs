@@ -21,11 +21,6 @@ pub enum FlashError {
     /// A durable epoch-journal operation failed (I/O or corruption
     /// beyond the tolerated torn tail).
     Journal(String),
-    /// A process-mode shard worker failed at the transport level
-    /// (spawn failure, EOF, corrupt frame, heartbeat loss, or a missed
-    /// per-epoch deadline). The supervisor kills and respawns; this is
-    /// what `last_error` reports while it does.
-    Process { worker: usize, msg: String },
 }
 
 impl FlashError {
@@ -55,9 +50,6 @@ impl std::fmt::Display for FlashError {
             }
             FlashError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             FlashError::Journal(msg) => write!(f, "journal: {msg}"),
-            FlashError::Process { worker, msg } => {
-                write!(f, "process worker {worker}: {msg}")
-            }
         }
     }
 }

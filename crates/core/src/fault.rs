@@ -7,10 +7,8 @@
 //!
 //! * **kill** — the worker panics after processing `after_batches`
 //!   jobs (exercises supervision + journal replay);
-//! * **hang** — the worker stalls once; a process-mode child stops
-//!   heartbeating, so the hang is detected and the child respawned;
-//! * **process kill** / **corrupt frame** — a process-mode child aborts
-//!   mid-protocol, or flips a byte in one result frame;
+//! * **hang** — the worker stalls once, then carries on (a slow epoch,
+//!   not a crash: nothing restarts);
 //! * **worker_delay** — every batch takes at least this long (turns a
 //!   worker into a slow consumer that fills its queue).
 
@@ -26,26 +24,13 @@ pub struct KillSpec {
 }
 
 /// Stall one worker for `duration` after it has processed
-/// `after_batches` batches; fires exactly once. In thread mode the
-/// worker simply goes slow; in process mode the child stops heartbeating
-/// while stalled, so the hang is *detected* and the child is killed and
-/// respawned — the distinction the heartbeat exists to exercise.
+/// `after_batches` batches; fires exactly once. The worker goes slow:
+/// its epochs wait for it, and nothing is restarted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HangSpec {
     pub worker: usize,
     pub after_batches: u64,
     pub duration: Duration,
-}
-
-/// Corrupt the Nth result frame a process-mode child writes (a byte is
-/// flipped *after* the checksum is computed, so the parent sees a CRC
-/// mismatch); fires exactly once. Ignored in thread mode — there is no
-/// wire to corrupt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CorruptSpec {
-    pub worker: usize,
-    /// 1-based index of the result frame to corrupt.
-    pub after_frames: u64,
 }
 
 /// A reproducible set of worker faults for chaos tests.
@@ -55,11 +40,6 @@ pub struct FaultPlan {
     pub kill_workers: Vec<KillSpec>,
     /// Workers to stall (each fires once).
     pub hang_workers: Vec<HangSpec>,
-    /// Process-mode children to kill with a hard abort (no panic, no
-    /// unwinding — the process dies mid-protocol). Fires once each.
-    pub kill_process: Vec<KillSpec>,
-    /// Process-mode result frames to corrupt (each fires once).
-    pub corrupt_frames: Vec<CorruptSpec>,
     /// Minimum per-batch processing time (slow-consumer simulation).
     pub worker_delay: Option<Duration>,
 }
@@ -79,18 +59,6 @@ impl FaultPlan {
                 h.worker, workers
             )));
         }
-        if let Some(k) = self.kill_process.iter().find(|k| k.worker >= workers) {
-            return Err(crate::error::FlashError::Config(format!(
-                "process-kill target worker {} out of range (workers = {})",
-                k.worker, workers
-            )));
-        }
-        if let Some(c) = self.corrupt_frames.iter().find(|c| c.worker >= workers) {
-            return Err(crate::error::FlashError::Config(format!(
-                "corrupt-frame target worker {} out of range (workers = {})",
-                c.worker, workers
-            )));
-        }
         Ok(())
     }
 
@@ -108,22 +76,6 @@ impl FaultPlan {
             .iter()
             .find(|h| h.worker == worker)
             .map(|h| (h.after_batches, h.duration))
-    }
-
-    /// The process-kill trigger for `worker`, if any.
-    pub(crate) fn kill_process_for(&self, worker: usize) -> Option<u64> {
-        self.kill_process
-            .iter()
-            .find(|k| k.worker == worker)
-            .map(|k| k.after_batches)
-    }
-
-    /// The frame-corruption trigger for `worker`, if any.
-    pub(crate) fn corrupt_for(&self, worker: usize) -> Option<u64> {
-        self.corrupt_frames
-            .iter()
-            .find(|c| c.worker == worker)
-            .map(|c| c.after_frames)
     }
 }
 

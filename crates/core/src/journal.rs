@@ -220,12 +220,6 @@ impl EpochJournal {
                                 Err(e) => return Ok((entries, JournalTail::Torn(e.to_string()))),
                             }
                         }
-                        other => {
-                            return Ok((
-                                entries,
-                                JournalTail::Torn(format!("unexpected frame kind {other:?}")),
-                            ))
-                        }
                     };
                     entries.push(entry);
                 }

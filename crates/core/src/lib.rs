@@ -65,7 +65,6 @@ pub mod error;
 pub mod fault;
 pub mod journal;
 mod pool;
-pub mod proc;
 pub mod query;
 pub mod shard;
 pub mod supervise;
@@ -75,7 +74,7 @@ pub mod wire;
 pub use channel::ChannelStats;
 pub use dispatcher::{Dispatcher, DispatcherConfig, TimedReport};
 pub use error::FlashError;
-pub use fault::{CorruptSpec, FaultPlan, HangSpec, KillSpec};
+pub use fault::{FaultPlan, HangSpec, KillSpec};
 pub use journal::{EpochJournal, JournalEntry, JournalTail};
 pub use pool::WorkerStats;
 pub use query::{
@@ -83,9 +82,9 @@ pub use query::{
     QueryService, QueryServiceConfig, QuerySession, TenantStats,
 };
 pub use shard::{
-    DegradedShard, EpochReport, RecoveryOptions, ShardDrainOutcome, ShardMode, ShardPool,
-    ShardPoolConfig, ShardResult, UpdateBlock,
+    DegradedShard, EpochReport, RecoveryOptions, ShardDrainOutcome, ShardPool, ShardPoolConfig,
+    ShardResult, UpdateBlock,
 };
 pub use supervise::{RestartPolicy, WorkerHealth};
 pub use verifier::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
-pub use wire::{ChildFaults, ShardCheckpoint, WorkerCheckpoint};
+pub use wire::{ShardCheckpoint, WorkerCheckpoint};

@@ -33,7 +33,6 @@
 
 use crate::channel::{policy_channel, PolicySender, RecvTimeoutError};
 use crate::error::FlashError;
-use crate::wire::{Wire, WireError, WireReader};
 use flash_imt::{EpochSnapshot, SnapshotClass, SubspacePlan};
 use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, Match, RuleUpdate};
 use std::collections::{HashSet, VecDeque};
@@ -273,105 +272,6 @@ pub fn execute(
         }
     };
     QueryAnswer { kind, consulted, missing }
-}
-
-// ---------------------------------------------------------------------
-// Wire codecs (the query tier's slice of the frame protocol).
-// ---------------------------------------------------------------------
-
-impl Wire for Query {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            Query::Reach { src, dst, prefix_value, prefix_len } => {
-                0u8.put(w);
-                src.put(w);
-                dst.put(w);
-                prefix_value.put(w);
-                prefix_len.put(w);
-            }
-            Query::Waypoint { src, via, dst, prefix_value, prefix_len } => {
-                1u8.put(w);
-                src.put(w);
-                via.put(w);
-                dst.put(w);
-                prefix_value.put(w);
-                prefix_len.put(w);
-            }
-            Query::WhatIf { block } => {
-                2u8.put(w);
-                block.put(w);
-            }
-        }
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::get(r)? {
-            0 => Query::Reach {
-                src: DeviceId::get(r)?,
-                dst: DeviceId::get(r)?,
-                prefix_value: u64::get(r)?,
-                prefix_len: u32::get(r)?,
-            },
-            1 => Query::Waypoint {
-                src: DeviceId::get(r)?,
-                via: DeviceId::get(r)?,
-                dst: DeviceId::get(r)?,
-                prefix_value: u64::get(r)?,
-                prefix_len: u32::get(r)?,
-            },
-            2 => Query::WhatIf { block: Vec::get(r)? },
-            t => return Err(WireError::new(format!("bad query tag {t}"))),
-        })
-    }
-}
-
-impl Wire for AnswerKind {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            AnswerKind::Reach { classes, reachable } => {
-                0u8.put(w);
-                classes.put(w);
-                reachable.put(w);
-            }
-            AnswerKind::Waypoint { classes, satisfied } => {
-                1u8.put(w);
-                classes.put(w);
-                satisfied.put(w);
-            }
-            AnswerKind::WhatIf { touched } => {
-                2u8.put(w);
-                touched.put(w);
-            }
-        }
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::get(r)? {
-            0 => AnswerKind::Reach { classes: usize::get(r)?, reachable: usize::get(r)? },
-            1 => AnswerKind::Waypoint { classes: usize::get(r)?, satisfied: usize::get(r)? },
-            2 => AnswerKind::WhatIf { touched: Vec::get(r)? },
-            t => return Err(WireError::new(format!("bad answer tag {t}"))),
-        })
-    }
-}
-
-impl Wire for QueryAnswer {
-    fn put(&self, w: &mut Vec<u8>) {
-        self.kind.put(w);
-        self.consulted
-            .iter()
-            .map(|&(s, e)| (s as u64, e))
-            .collect::<Vec<(u64, u64)>>()
-            .put(w);
-        self.missing.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let kind = AnswerKind::get(r)?;
-        let consulted: Vec<(u64, u64)> = Vec::get(r)?;
-        Ok(QueryAnswer {
-            kind,
-            consulted: consulted.into_iter().map(|(s, e)| (s as usize, e)).collect(),
-            missing: Vec::get(r)?,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -648,19 +548,9 @@ impl QueryService {
         }
     }
 
-    /// Executes a query on the calling thread, bypassing the reader
-    /// queue (CLI one-shots, tests). Same read path as the pool.
-    pub fn answer_now(&self, q: &Query) -> QueryAnswer {
-        self.shared.answer(q)
-    }
-
     /// Total queries answered by the reader pool.
     pub fn served(&self) -> u64 {
         self.shared.served.load(Ordering::Relaxed)
-    }
-
-    pub fn reader_count(&self) -> usize {
-        self.readers.len()
     }
 
     /// Graceful shutdown: readers finish what is enqueued, then exit and
@@ -681,7 +571,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{RecoveryOptions, ShardMode, ShardPool, ShardPoolConfig};
+    use crate::shard::{RecoveryOptions, ShardPool, ShardPoolConfig};
     use flash_netmodel::{FieldId, Rule, Topology};
     use std::time::Duration;
 
@@ -813,22 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn process_mode_rejects_query_hub_at_spawn() {
-        let layout = HeaderLayout::dst_only();
-        let plan = SubspacePlan::single();
-        let hub = QueryHub::new(plan.len());
-        let mut cfg = ShardPoolConfig::model_only(layout, plan, usize::MAX, 1);
-        cfg.query_hub = Some(hub);
-        cfg.recovery.mode = ShardMode::Process;
-        match ShardPool::spawn(cfg) {
-            Err(FlashError::Config(msg)) => {
-                assert!(msg.contains("thread mode"), "clear message, got: {msg}")
-            }
-            other => panic!("expected Config error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn shed_admission_bounds_tenant_lag() {
         let layout = HeaderLayout::dst_only();
         let plan = SubspacePlan::single();
@@ -867,41 +741,6 @@ mod tests {
         }
         assert_eq!(session.stats().in_flight, 0);
         svc.shutdown();
-    }
-
-    #[test]
-    fn query_wire_roundtrip() {
-        let layout = HeaderLayout::dst_only();
-        let m = Match::dst_prefix(&layout, 0x40, 4);
-        let queries = vec![
-            Query::Reach { src: DeviceId(1), dst: DeviceId(2), prefix_value: 3, prefix_len: 2 },
-            Query::Waypoint {
-                src: DeviceId(1),
-                via: DeviceId(5),
-                dst: DeviceId(2),
-                prefix_value: 0,
-                prefix_len: 0,
-            },
-            Query::WhatIf {
-                block: vec![RuleUpdate::insert(Rule::new(m, 7, flash_netmodel::ActionId(1)))],
-            },
-        ];
-        for q in &queries {
-            let mut buf = Vec::new();
-            q.put(&mut buf);
-            let mut r = WireReader::new(&buf);
-            assert_eq!(&Query::get(&mut r).unwrap(), q);
-            assert!(r.is_empty());
-        }
-        let a = QueryAnswer {
-            kind: AnswerKind::WhatIf { touched: vec![1, 2, 3] },
-            consulted: vec![(0, 7), (3, 9)],
-            missing: vec![1],
-        };
-        let mut buf = Vec::new();
-        a.put(&mut buf);
-        let mut r = WireReader::new(&buf);
-        assert_eq!(QueryAnswer::get(&mut r).unwrap(), a);
     }
 
     #[test]

@@ -183,21 +183,8 @@ impl EpochReport {
         keys.len()
     }
 
-    pub fn total_ops(&self) -> u64 {
-        self.shards.iter().map(|s| s.ops).sum()
-    }
-
     pub fn total_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Folded model-manager work counters across all shards.
-    pub fn total_stats(&self) -> UpdateStats {
-        let mut total = UpdateStats::default();
-        for s in &self.shards {
-            total.absorb(&s.stats);
-        }
-        total
     }
 
     /// Sum of per-shard processing time for this block.
@@ -238,28 +225,9 @@ impl EpochReport {
     }
 }
 
-/// How shard workers are hosted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardMode {
-    /// In-process OS threads under `catch_unwind` supervision (the
-    /// default; cheapest, but a worker that corrupts shared memory or
-    /// aborts takes the whole process with it).
-    #[default]
-    Thread,
-    /// One supervised child process per worker (`flash-shardd`),
-    /// speaking the [`crate::wire`] frame protocol over stdin/stdout.
-    /// The supervisor detects death (EOF/wait) *and* hangs (heartbeat
-    /// loss, per-epoch deadline), kills and respawns with the usual
-    /// backoff, and replays from the last checkpoint. Only
-    /// wire-encodable properties are supported
-    /// ([`Property::LoopFreedom`] or model-only).
-    Process,
-}
-
-/// Durability and isolation knobs of a [`ShardPool`].
+/// Durability knobs of a [`ShardPool`].
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryOptions {
-    pub mode: ShardMode,
     /// Take a per-worker checkpoint (and truncate the replay journal)
     /// every this many jobs. `None` (default) disables checkpointing:
     /// crash replay starts from genesis and the journal grows with the
@@ -271,16 +239,6 @@ pub struct RecoveryOptions {
     /// `flash-cli journal`. Best-effort: journal I/O errors disable the
     /// durable journal rather than failing verification.
     pub journal_dir: Option<PathBuf>,
-    /// Path to the `flash-shardd` binary (process mode). Defaults to
-    /// the `FLASH_SHARDD` environment variable, then to a sibling of
-    /// the current executable.
-    pub shardd_path: Option<PathBuf>,
-    /// Process mode: max silence between child heartbeats before the
-    /// child is declared hung and killed. Default 1s.
-    pub heartbeat_timeout: Option<Duration>,
-    /// Process mode: max wall-clock time for one job round-trip before
-    /// the child is declared wedged and killed. Default 30s.
-    pub epoch_deadline: Option<Duration>,
 }
 
 /// Configuration of a [`ShardPool`].
@@ -308,13 +266,12 @@ pub struct ShardPoolConfig {
     pub collect_class_keys: bool,
     /// Optional chaos testing: worker kills, hangs and per-batch delays.
     pub faults: Option<FaultPlan>,
-    /// Checkpointing, durable journaling, and process isolation.
+    /// Checkpointing and durable journaling.
     pub recovery: RecoveryOptions,
     /// Snapshot exchange for the concurrent query tier: when set, every
     /// worker publishes one [`flash_imt::EpochSnapshot`] per built shard
     /// into this hub after each applied block and each bulk-ingestion
-    /// seal. Thread mode only — process-isolated workers cannot share
-    /// the node arenas the snapshots reference.
+    /// seal.
     pub query_hub: Option<Arc<crate::query::QueryHub>>,
 }
 
@@ -337,67 +294,25 @@ impl ShardPoolConfig {
             query_hub: None,
         }
     }
-
-    /// The subset of the configuration a shard-verification core needs
-    /// (shared between in-thread workers and `flash-shardd` children).
-    pub(crate) fn core_config(&self) -> ShardCoreConfig {
-        ShardCoreConfig {
-            topo: self.topo.clone(),
-            actions: self.actions.clone(),
-            layout: self.layout.clone(),
-            plan: self.plan.clone(),
-            properties: self.properties.clone(),
-            bst: self.bst,
-            collect_class_keys: self.collect_class_keys,
-        }
-    }
 }
 
-/// What a shard-verification core needs to run — shared between thread
-/// workers and `flash-shardd` child processes ([`crate::proc`]).
-#[derive(Clone)]
-pub(crate) struct ShardCoreConfig {
-    pub topo: Arc<Topology>,
-    pub actions: Arc<ActionTable>,
-    pub layout: HeaderLayout,
-    pub plan: SubspacePlan,
-    pub properties: Vec<Property>,
-    pub bst: usize,
-    pub collect_class_keys: bool,
-}
-
-/// The host-agnostic verification core of one shard worker: the warm
-/// verifiers for its shards, plus checkpoint capture and restore. The
-/// thread-mode [`ShardWorker`] wraps it directly; in process mode the
-/// same struct runs inside a `flash-shardd` child.
-pub(crate) struct ShardCore {
-    cfg: ShardCoreConfig,
+/// The verification core of one shard worker: the warm verifiers for
+/// its shards, plus checkpoint capture and restore. It is the state a
+/// [`ShardWorker`] rebuilds after a panic.
+struct ShardCore {
+    cfg: Arc<ShardPoolConfig>,
     /// Global shard indices this core owns.
     shards: Vec<usize>,
     worker: usize,
     /// One warm verifier slot per owned shard, parallel to `shards`.
     /// `None` until the shard first has work.
     slots: Vec<Option<SubspaceVerifier>>,
-    /// Query-tier snapshot hub (thread mode only; see
-    /// [`ShardCore::set_query_hub`]).
-    query_hub: Option<Arc<crate::query::QueryHub>>,
 }
 
 impl ShardCore {
-    pub fn new(cfg: ShardCoreConfig, shards: Vec<usize>, worker: usize) -> Self {
+    fn new(cfg: Arc<ShardPoolConfig>, shards: Vec<usize>, worker: usize) -> Self {
         let slots = (0..shards.len()).map(|_| None).collect();
-        ShardCore { cfg, shards, worker, slots, query_hub: None }
-    }
-
-    /// Attaches the query-tier snapshot hub: every subsequent applied
-    /// block and bulk-ingestion seal publishes one
-    /// [`flash_imt::EpochSnapshot`] per built shard, *before* the
-    /// shard's result is emitted — once an epoch completes at the
-    /// aggregator, the hub holds that epoch (or newer) for every shard
-    /// the epoch routed to. Thread mode only (the snapshots share node
-    /// arenas with the verifiers).
-    pub fn set_query_hub(&mut self, hub: Arc<crate::query::QueryHub>) {
-        self.query_hub = Some(hub);
+        ShardCore { cfg, shards, worker, slots }
     }
 
     /// Rebuilds a core from a checkpoint. The inverse model is a
@@ -408,8 +323,8 @@ impl ShardCore {
     /// delivered — consistent detection is deterministic, so anything
     /// decidable now was decidable, and emitted, at checkpoint time),
     /// and re-marks the synchronized devices via a detection pass.
-    pub fn restore(
-        cfg: ShardCoreConfig,
+    fn restore(
+        cfg: Arc<ShardPoolConfig>,
         shards: Vec<usize>,
         worker: usize,
         cp: &WorkerCheckpoint,
@@ -473,11 +388,12 @@ impl ShardCore {
     }
 
     /// Publishes owned shard `local`'s model as epoch `seq` to the query
-    /// hub, if one is attached. Called before the shard's result is
-    /// emitted: an epoch the aggregator reports complete is already
-    /// queryable.
+    /// hub, if [`ShardPoolConfig::query_hub`] is set. Called before the
+    /// shard's result is emitted: once an epoch completes at the
+    /// aggregator, the hub holds that epoch (or newer) for every shard
+    /// the epoch routed to.
     fn publish(&mut self, local: usize, seq: u64) {
-        if let (Some(hub), Some(v)) = (&self.query_hub, &mut self.slots[local]) {
+        if let (Some(hub), Some(v)) = (&self.cfg.query_hub, &mut self.slots[local]) {
             hub.publish(self.shards[local], v.manager_mut().publish_snapshot(seq));
         }
     }
@@ -522,7 +438,7 @@ impl ShardCore {
 
     /// Forces a mark-sweep collection on every warm engine and compacts
     /// its PAT arena.
-    pub fn collect(&mut self) {
+    fn collect(&mut self) {
         for v in self.slots.iter_mut().flatten() {
             v.manager_mut().gc();
         }
@@ -530,7 +446,7 @@ impl ShardCore {
 
     /// Applies one routed block to every owned shard, handing each
     /// [`ShardResult`] to `sink` (which owns delivery + deduplication).
-    pub fn apply_block(
+    fn apply_block(
         &mut self,
         block: &UpdateBlock,
         mut sink: impl FnMut(ShardResult) -> Result<(), OutputClosed>,
@@ -571,7 +487,7 @@ impl ShardCore {
     /// verifiers — no flush, no verification, no results. Consecutive
     /// same-device runs in the routed list are batched into one
     /// `ingest_bulk` call each.
-    pub fn ingest_block(&mut self, block: &UpdateBlock) {
+    fn ingest_block(&mut self, block: &UpdateBlock) {
         for local in 0..self.slots.len() {
             let routed = &block.routed[self.shards[local]];
             if routed.is_empty() {
@@ -600,7 +516,7 @@ impl ShardCore {
     /// (between an `Ingest` and its `Seal`): a checkpoint taken now
     /// would silently drop the buffered rules, so the worker skips the
     /// opportunity instead.
-    pub fn has_pending(&self) -> bool {
+    fn has_pending(&self) -> bool {
         self.slots
             .iter()
             .flatten()
@@ -610,7 +526,7 @@ impl ShardCore {
     /// Closes a bulk-ingestion snapshot: bulk-loads every owned shard's
     /// buffered updates, marks `devices` synchronized, verifies, and
     /// emits one result per owned shard under the real epoch `seq`.
-    pub fn seal(
+    fn seal(
         &mut self,
         seq: u64,
         devices: &[DeviceId],
@@ -635,7 +551,7 @@ impl ShardCore {
     /// Snapshots the core's recovery state: per-shard FIB rule
     /// snapshots, synchronized devices, emitted-verdict keys, and class
     /// fingerprints, plus the caller's delivery bookkeeping.
-    pub fn checkpoint(
+    fn checkpoint(
         &self,
         last_seq: Option<u64>,
         reported: &HashSet<(u64, usize)>,
@@ -680,7 +596,7 @@ impl ShardCore {
         }
     }
 
-    pub fn telemetry(&self) -> EngineTelemetry {
+    fn telemetry(&self) -> EngineTelemetry {
         let mut total = EngineTelemetry::default();
         for v in self.slots.iter().flatten() {
             total.absorb(&v.manager().engine().telemetry());
@@ -689,11 +605,11 @@ impl ShardCore {
     }
 }
 
-/// The thread-mode worker body: a [`ShardCore`] plus delivery
-/// deduplication and the optional durable journal. The struct itself
-/// lives outside the unwind boundary and survives restarts.
+/// A shard worker's body: a [`ShardCore`] plus delivery deduplication
+/// and the optional durable journal. The struct itself lives outside
+/// the unwind boundary and survives restarts.
 struct ShardWorker {
-    cfg: ShardPoolConfig,
+    cfg: Arc<ShardPoolConfig>,
     /// Global shard indices this worker owns.
     shards: Vec<usize>,
     worker: usize,
@@ -743,20 +659,11 @@ impl SupervisedWorker for ShardWorker {
     type Checkpoint = WorkerCheckpoint;
 
     fn build(&mut self) -> ShardCore {
-        let mut core = ShardCore::new(self.cfg.core_config(), self.shards.clone(), self.worker);
-        if let Some(hub) = &self.cfg.query_hub {
-            core.set_query_hub(hub.clone());
-        }
-        core
+        ShardCore::new(self.cfg.clone(), self.shards.clone(), self.worker)
     }
 
     fn restore(&mut self, cp: &WorkerCheckpoint) -> ShardCore {
-        let mut core =
-            ShardCore::restore(self.cfg.core_config(), self.shards.clone(), self.worker, cp);
-        if let Some(hub) = &self.cfg.query_hub {
-            core.set_query_hub(hub.clone());
-        }
-        core
+        ShardCore::restore(self.cfg.clone(), self.shards.clone(), self.worker, cp)
     }
 
     fn checkpoint_every(&self) -> Option<u64> {
@@ -882,7 +789,6 @@ pub struct ShardPool {
     pool: WorkerPool<ShardJob>,
     plan: SubspacePlan,
     layout: HeaderLayout,
-    mode: ShardMode,
     /// Worker count (shard `s` is owned by worker `s % workers`).
     workers: usize,
     results_rx: Receiver<ShardResult>,
@@ -926,13 +832,6 @@ impl ShardPool {
             return Err(FlashError::Config("subspace plan is empty".into()));
         }
         if let Some(hub) = &cfg.query_hub {
-            if cfg.recovery.mode == ShardMode::Process {
-                return Err(FlashError::Config(
-                    "the snapshot query tier requires thread mode (ShardMode::Thread): \
-                     process-isolated workers cannot share snapshot node arenas"
-                        .into(),
-                ));
-            }
             if hub.shard_count() != cfg.plan.len() {
                 return Err(FlashError::Config(format!(
                     "query hub has {} shards but the subspace plan has {}",
@@ -941,13 +840,11 @@ impl ShardPool {
                 )));
             }
         }
-        let mode = cfg.recovery.mode;
         let workers = cfg.threads.max(1).min(cfg.plan.len());
         if let Some(plan) = &cfg.faults {
             plan.validate(workers)?;
         }
         let (results_tx, results_rx) = mpsc::channel::<ShardResult>();
-        let faults = cfg.faults.clone();
         let plan = cfg.plan.clone();
         let layout = cfg.layout.clone();
         let pool_cfg = PoolConfig {
@@ -955,59 +852,26 @@ impl ShardPool {
             capacity: cfg.capacity,
             restart: cfg.restart,
         };
+        let faults = cfg.faults.clone();
         let worker_faults = |w: usize| WorkerFaults {
             kill_after: faults.as_ref().and_then(|p| p.kill_for(w)),
             delay: faults.as_ref().and_then(|p| p.worker_delay),
             hang: faults.as_ref().and_then(|p| p.hang_for(w)),
         };
-        let pool = match cfg.recovery.mode {
-            ShardMode::Thread => WorkerPool::spawn(pool_cfg, worker_faults, |w| ShardWorker {
-                cfg: cfg.clone(),
-                shards: (0..cfg.plan.len()).filter(|s| s % workers == w).collect(),
-                worker: w,
-                out: results_tx.clone(),
-                reported: HashSet::new(),
-                last_seq: None,
-                journal: open_worker_journal(&cfg.recovery.journal_dir, w),
-            }),
-            ShardMode::Process => {
-                if cfg
-                    .properties
-                    .iter()
-                    .any(|p| matches!(p, Property::Requirement { .. }))
-                {
-                    return Err(FlashError::Config(
-                        "process mode supports only wire-encodable properties \
-                         (LoopFreedom or model-only); Requirement needs thread mode"
-                            .into(),
-                    ));
-                }
-                let shardd = crate::proc::resolve_shardd(&cfg.recovery.shardd_path)?;
-                // Hangs are injected in the *child* (via the Hello's
-                // fault spec) so the parent's heartbeat detection is
-                // what catches them, not a sleeping supervisor.
-                let proc_faults = |w: usize| WorkerFaults {
-                    kill_after: faults.as_ref().and_then(|p| p.kill_for(w)),
-                    delay: faults.as_ref().and_then(|p| p.worker_delay),
-                    hang: None,
-                };
-                WorkerPool::spawn(pool_cfg, proc_faults, |w| {
-                    crate::proc::ProcShardWorker::new(
-                        &cfg,
-                        shardd.clone(),
-                        (0..cfg.plan.len()).filter(|s| s % workers == w).collect(),
-                        w,
-                        results_tx.clone(),
-                        open_worker_journal(&cfg.recovery.journal_dir, w),
-                    )
-                })
-            }
-        };
+        let cfg = Arc::new(cfg);
+        let pool = WorkerPool::spawn(pool_cfg, worker_faults, |w| ShardWorker {
+            cfg: cfg.clone(),
+            shards: (0..plan.len()).filter(|s| s % workers == w).collect(),
+            worker: w,
+            out: results_tx.clone(),
+            reported: HashSet::new(),
+            last_seq: None,
+            journal: open_worker_journal(&cfg.recovery.journal_dir, w),
+        });
         Ok(ShardPool {
             pool,
             plan,
             layout,
-            mode,
             workers,
             results_rx,
             next_seq: 0,
@@ -1061,9 +925,6 @@ impl ShardPool {
     /// closes the snapshot; workers intern the rules into their pending
     /// queues without flushing, so the expensive model construction
     /// runs once over the full FIB instead of once per batch.
-    ///
-    /// Thread mode only: the wire protocol would ship blocks to
-    /// process-mode children eagerly, defeating the bulk path.
     pub fn ingest(&mut self, updates: Vec<(DeviceId, RuleUpdate)>) -> Result<(), FlashError> {
         let batch = self.router().route(updates);
         self.ingest_routed(batch)
@@ -1072,11 +933,6 @@ impl ShardPool {
     /// [`Self::ingest`] for batches already routed by a [`BlockRouter`]
     /// (typically on a reader thread).
     pub fn ingest_routed(&mut self, batch: RoutedBatch) -> Result<(), FlashError> {
-        if self.mode == ShardMode::Process {
-            return Err(FlashError::Config(
-                "bulk ingestion requires thread mode (ShardMode::Thread)".into(),
-            ));
-        }
         let block = Arc::new(UpdateBlock {
             seq: INGEST_SEQ,
             updates: batch.updates,
@@ -1096,11 +952,6 @@ impl ShardPool {
     /// sequence number — is emitted. Subsequent [`Self::submit`] blocks
     /// continue incrementally from the loaded snapshot.
     pub fn seal_snapshot(&mut self, devices: Vec<DeviceId>) -> Result<u64, FlashError> {
-        if self.mode == ShardMode::Process {
-            return Err(FlashError::Config(
-                "bulk ingestion requires thread mode (ShardMode::Thread)".into(),
-            ));
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let devices = Arc::new(devices);
@@ -1238,14 +1089,6 @@ impl ShardPool {
                 }
             }
         }
-    }
-
-    /// Non-blocking variant of [`Self::recv_epoch`].
-    pub fn try_recv_epoch(&mut self) -> Option<EpochReport> {
-        while let Ok(r) = self.results_rx.try_recv() {
-            self.absorb_result(r);
-        }
-        self.take_ready().or_else(|| self.take_partial())
     }
 
     /// Per-worker supervision/channel/engine counters.

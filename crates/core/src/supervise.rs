@@ -2,12 +2,12 @@
 //! recovery, generic over the work a worker performs.
 //!
 //! The shard pool's persistent subspace verifiers ([`crate::shard`])
-//! run under this supervision loop, as does the process-isolated shard
-//! proxy ([`crate::proc`]). A worker implements [`SupervisedWorker`]: `build`
-//! constructs its (possibly `!Send`) processing state on the worker's
-//! own OS thread, and `process` consumes one job. When the worker
-//! panics, the supervisor (the same OS thread, one frame up) rebuilds
-//! fresh state and **replays the journaled job history** through it —
+//! run under this supervision loop, one OS thread per worker. A worker
+//! implements [`SupervisedWorker`]: `build` constructs its (possibly
+//! `!Send`) processing state on the worker's own OS thread, and
+//! `process` consumes one job. When the worker panics, the supervisor
+//! (the same OS thread, one frame up) rebuilds fresh state and
+//! **replays the journaled job history** through it —
 //! the paper's epoch-replay mechanism ("flushes the updates from the
 //! device's update queue"), reused for crash recovery: replaying the
 //! same jobs deterministically reconstructs trackers, model state, and
@@ -169,8 +169,8 @@ pub(crate) struct WorkerFaults {
     /// Minimum per-batch processing time.
     pub delay: Option<Duration>,
     /// Stall once for this long after this many processed batches (a
-    /// hang, not a crash: thread-mode hangs surface as slow epochs;
-    /// process-mode hangs are detected by heartbeat loss and killed).
+    /// hang, not a crash: it surfaces as slow epochs and restarts
+    /// nothing).
     pub hang: Option<(u64, Duration)>,
 }
 

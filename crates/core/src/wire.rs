@@ -1,11 +1,8 @@
-//! The compact wire format shared by the durable epoch journal
-//! ([`crate::journal`]) and the process-isolated shard workers
-//! ([`crate::proc`]).
+//! The compact frame format of the durable epoch journal
+//! ([`crate::journal`]).
 //!
-//! Everything a shard worker needs to run in another address space —
-//! header layouts, topologies, action tables, subspace plans, routed
-//! update blocks, shard results and recovery checkpoints — round-trips
-//! through a small length-prefixed frame encoding:
+//! Routed update blocks, bulk-ingestion seals and recovery checkpoints
+//! round-trip through a small length-prefixed frame encoding:
 //!
 //! ```text
 //! frame := kind:u8  len:u32le  payload:[u8; len]  crc:u32le
@@ -14,34 +11,21 @@
 //! where `crc` is CRC-32 (IEEE) over `kind` followed by the payload.
 //! The checksum turns torn writes and bit flips into detectable
 //! [`WireError`]s instead of silently corrupted models: the journal
-//! reader tolerates a torn tail (the crash happened mid-append), and
-//! the process supervisor treats a corrupt frame as a fatal child
-//! failure (kill + respawn + replay).
+//! reader tolerates a torn tail (the crash happened mid-append).
 //!
 //! Encoding is hand-rolled — little-endian fixed-width integers,
 //! length-prefixed strings and sequences — to keep the workspace
-//! dependency-free. It is a *transport* format, not an archival one:
-//! both ends must be the same build of this crate, which the
-//! [`PROTOCOL_VERSION`] word at the head of every [`ProcHello`] checks.
+//! dependency-free.
 
-use crate::verifier::PropertyReport;
 use flash_bdd::{EngineTelemetry, OpKind, OpStats};
-use flash_imt::{SubspaceSpec, UpdateStats};
-use flash_netmodel::{
-    Action, ActionId, DeviceId, FieldId, Match, MatchKind, Rewrite, Rule, RuleOp, RuleUpdate,
-};
+use flash_imt::UpdateStats;
+use flash_netmodel::{ActionId, DeviceId, Match, MatchKind, Rule, RuleOp, RuleUpdate};
 use std::io::{Read, Write};
 use std::time::Duration;
 
 /// Upper bound on a single frame's payload; anything larger is treated
 /// as corruption (a garbage length prefix), not a real frame.
 pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
-
-/// Version of the parent↔`flash-shardd` frame layouts, the first word of
-/// every [`ProcHello`]. Bump it whenever a frame's layout changes, so that
-/// a `flash-shardd` left over from an older build stops with a message
-/// naming both versions instead of a frame-decode error.
-pub const PROTOCOL_VERSION: u32 = 1;
 
 /// A wire-level failure: truncated input, bad tag, checksum mismatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,25 +188,6 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            None => w.push(0),
-            Some(v) => {
-                w.push(1);
-                v.put(w);
-            }
-        }
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::get(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::get(r)?)),
-            t => Err(WireError::new(format!("bad option tag {t}"))),
-        }
-    }
-}
-
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn put(&self, w: &mut Vec<u8>) {
         self.0.put(w);
@@ -341,85 +306,6 @@ impl Wire for RuleUpdate {
         Ok(match op {
             RuleOp::Insert => RuleUpdate::insert(rule),
             RuleOp::Delete => RuleUpdate::delete(rule),
-        })
-    }
-}
-
-impl Wire for Rewrite {
-    fn put(&self, w: &mut Vec<u8>) {
-        self.field.put(w);
-        self.value.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Rewrite { field: u32::get(r)?, value: u64::get(r)? })
-    }
-}
-
-impl Wire for Action {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            Action::Drop => w.push(0),
-            Action::Forward(hops) => {
-                w.push(1);
-                hops.put(w);
-            }
-            Action::Tunnel { hops, rewrite } => {
-                w.push(2);
-                hops.put(w);
-                rewrite.put(w);
-            }
-        }
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::get(r)? {
-            0 => Action::Drop,
-            1 => Action::Forward(Vec::get(r)?),
-            2 => Action::Tunnel { hops: Vec::get(r)?, rewrite: Rewrite::get(r)? },
-            t => return Err(WireError::new(format!("bad action tag {t}"))),
-        })
-    }
-}
-
-impl Wire for SubspaceSpec {
-    fn put(&self, w: &mut Vec<u8>) {
-        self.field.0.put(w);
-        self.value.put(w);
-        self.len.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SubspaceSpec {
-            field: FieldId(u32::get(r)?),
-            value: u64::get(r)?,
-            len: u32::get(r)?,
-        })
-    }
-}
-
-impl Wire for PropertyReport {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            PropertyReport::LoopFound { cycle } => {
-                w.push(0);
-                cycle.put(w);
-            }
-            PropertyReport::LoopFreedomHolds => w.push(1),
-            PropertyReport::Satisfied { requirement } => {
-                w.push(2);
-                requirement.put(w);
-            }
-            PropertyReport::Unsatisfied { requirement } => {
-                w.push(3);
-                requirement.put(w);
-            }
-        }
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::get(r)? {
-            0 => PropertyReport::LoopFound { cycle: Vec::get(r)? },
-            1 => PropertyReport::LoopFreedomHolds,
-            2 => PropertyReport::Satisfied { requirement: String::get(r)? },
-            3 => PropertyReport::Unsatisfied { requirement: String::get(r)? },
-            t => return Err(WireError::new(format!("bad report tag {t}"))),
         })
     }
 }
@@ -675,39 +561,6 @@ impl Wire for crate::shard::UpdateBlock {
     }
 }
 
-impl Wire for crate::shard::ShardResult {
-    fn put(&self, w: &mut Vec<u8>) {
-        self.seq.put(w);
-        self.shard.put(w);
-        self.worker.put(w);
-        self.skipped.put(w);
-        self.cpu.put(w);
-        self.classes.put(w);
-        self.ops.put(w);
-        self.bytes.put(w);
-        self.engine.put(w);
-        self.reports.put(w);
-        self.class_keys.put(w);
-        self.stats.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(crate::shard::ShardResult {
-            seq: u64::get(r)?,
-            shard: usize::get(r)?,
-            worker: usize::get(r)?,
-            skipped: bool::get(r)?,
-            cpu: Duration::get(r)?,
-            classes: usize::get(r)?,
-            ops: u64::get(r)?,
-            bytes: usize::get(r)?,
-            engine: EngineTelemetry::get(r)?,
-            reports: Vec::get(r)?,
-            class_keys: Vec::get(r)?,
-            stats: UpdateStats::get(r)?,
-        })
-    }
-}
-
 /// Recovery state of one shard at checkpoint time: the device FIBs
 /// (from which the inverse model is a deterministic function), the
 /// synchronized-device set, the verdict keys already emitted, the
@@ -813,149 +666,41 @@ impl Wire for WorkerCheckpoint {
     }
 }
 
-/// Deterministic faults a child process injects into itself (wired
-/// through the Hello frame; each fires at most once per pool run — the
-/// parent latches a fired fault out of subsequent Hellos).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChildFaults {
-    /// Abort the process at the start of this block ordinal (1-based).
-    pub kill_at_block: Option<u64>,
-    /// At this block ordinal, sleep for `.1` milliseconds while holding
-    /// the output lock (starves heartbeats: a detectable hang).
-    pub hang_at_block: Option<(u64, u64)>,
-    /// Corrupt the payload of this outbound result frame (1-based).
-    pub corrupt_frame: Option<u64>,
-}
-
-impl Wire for ChildFaults {
-    fn put(&self, w: &mut Vec<u8>) {
-        self.kill_at_block.put(w);
-        self.hang_at_block.put(w);
-        self.corrupt_frame.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ChildFaults {
-            kill_at_block: Option::get(r)?,
-            hang_at_block: Option::get(r)?,
-            corrupt_frame: Option::get(r)?,
-        })
-    }
-}
-
-/// The configuration frame a `flash-shardd` child receives first: the
-/// network universe plus this worker's shard assignment.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProcHello {
-    pub worker: usize,
-    /// Global shard indices this worker owns.
-    pub shards: Vec<usize>,
-    /// Header layout: `(field name, width in bits)` in field order.
-    pub layout: Vec<(String, u32)>,
-    /// Devices in id order: `(name, is_external)`.
-    pub devices: Vec<(String, bool)>,
-    /// Directed links as `(from, to)` device ids.
-    pub links: Vec<(u32, u32)>,
-    /// Interned actions in id order.
-    pub actions: Vec<Action>,
-    /// The full subspace plan (indexed by global shard id).
-    pub subspaces: Vec<SubspaceSpec>,
-    /// Verify all-pair loop freedom (the only property the wire
-    /// supports; requirement ASTs stay in-process).
-    pub loop_freedom: bool,
-    pub bst: u64,
-    pub collect_class_keys: bool,
-    /// Interval at which the child emits heartbeat frames, in ms.
-    pub heartbeat_ms: u64,
-    pub faults: ChildFaults,
-}
-
-impl Wire for ProcHello {
-    fn put(&self, w: &mut Vec<u8>) {
-        PROTOCOL_VERSION.put(w);
-        self.worker.put(w);
-        self.shards.put(w);
-        self.layout.put(w);
-        self.devices.put(w);
-        self.links.put(w);
-        self.actions.put(w);
-        self.subspaces.put(w);
-        self.loop_freedom.put(w);
-        self.bst.put(w);
-        self.collect_class_keys.put(w);
-        self.heartbeat_ms.put(w);
-        self.faults.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let version = u32::get(r)?;
-        if version != PROTOCOL_VERSION {
-            return Err(WireError::new(format!(
-                "the parent speaks protocol version {version}, this flash-shardd \
-                 version {PROTOCOL_VERSION}: rebuild flash-shardd from the same source"
-            )));
-        }
-        Ok(ProcHello {
-            worker: usize::get(r)?,
-            shards: Vec::get(r)?,
-            layout: Vec::get(r)?,
-            devices: Vec::get(r)?,
-            links: Vec::get(r)?,
-            actions: Vec::get(r)?,
-            subspaces: Vec::get(r)?,
-            loop_freedom: bool::get(r)?,
-            bst: u64::get(r)?,
-            collect_class_keys: bool::get(r)?,
-            heartbeat_ms: u64::get(r)?,
-            faults: ChildFaults::get(r)?,
-        })
-    }
-}
-
-/// Frame type tags. Parent→child: `Hello`..`Shutdown`; child→parent:
-/// `Result`..`Heartbeat`. The journal reuses `Block`, `Collect`,
-/// `Checkpoint`, `Ingest` and `Seal`.
+/// Frame type tags of the journal. The values are fixed so that journal
+/// files written by earlier builds still read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    Hello = 1,
+    /// An applied update block: payload is an
+    /// [`crate::shard::UpdateBlock`].
     Block = 2,
+    /// A forced collection (empty payload).
     Collect = 3,
-    CheckpointReq = 4,
-    Restore = 5,
-    Shutdown = 6,
     /// A bulk-ingestion block (buffered, no results until `Seal`).
     /// Payload is an [`crate::shard::UpdateBlock`] with the sentinel
     /// seq `u64::MAX`.
     Ingest = 7,
     /// Ends a bulk-ingestion snapshot: payload is `(seq, devices)`.
     Seal = 8,
-    Result = 16,
+    /// A worker checkpoint: payload is a [`WorkerCheckpoint`].
     Checkpoint = 17,
-    Heartbeat = 18,
-    CollectDone = 19,
 }
 
 impl FrameKind {
     pub fn from_u8(b: u8) -> Option<Self> {
         Some(match b {
-            1 => FrameKind::Hello,
             2 => FrameKind::Block,
             3 => FrameKind::Collect,
-            4 => FrameKind::CheckpointReq,
-            5 => FrameKind::Restore,
-            6 => FrameKind::Shutdown,
             7 => FrameKind::Ingest,
             8 => FrameKind::Seal,
-            16 => FrameKind::Result,
             17 => FrameKind::Checkpoint,
-            18 => FrameKind::Heartbeat,
-            19 => FrameKind::CollectDone,
             _ => return None,
         })
     }
 }
 
-/// Serializes a frame: `kind, len, payload, crc32(kind ‖ payload)`.
-pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+/// Writes one frame: `kind, len, payload, crc32(kind ‖ payload)`.
+pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), WireError> {
     let mut out = Vec::with_capacity(payload.len() + 9);
     out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -964,12 +709,7 @@ pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     crc_input.push(kind as u8);
     crc_input.extend_from_slice(payload);
     out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    out
-}
-
-/// Writes one frame.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), WireError> {
-    w.write_all(&frame_bytes(kind, payload))?;
+    w.write_all(&out)?;
     Ok(())
 }
 
@@ -979,9 +719,7 @@ pub fn write_value_frame<T: Wire>(
     kind: FrameKind,
     value: &T,
 ) -> Result<(), WireError> {
-    let mut payload = Vec::new();
-    value.put(&mut payload);
-    write_frame(w, kind, &payload)
+    write_frame(w, kind, &encode(value))
 }
 
 /// How a frame read ended.
@@ -1049,7 +787,7 @@ pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_netmodel::HeaderLayout;
+    use flash_netmodel::{FieldId, HeaderLayout};
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode(&v);
@@ -1073,8 +811,6 @@ mod tests {
         roundtrip(3.25f64);
         roundtrip(String::from("dst"));
         roundtrip(vec![1u32, 2, 3]);
-        roundtrip(Some(7u64));
-        roundtrip(Option::<u64>::None);
         roundtrip(Duration::from_micros(1234));
         roundtrip((DeviceId(3), 9u64));
     }
@@ -1108,8 +844,6 @@ mod tests {
         assert_eq!(back.updates, block.updates);
         assert_eq!(back.routed, block.routed);
 
-        roundtrip(PropertyReport::LoopFound { cycle: vec![DeviceId(0), DeviceId(1)] });
-        roundtrip(PropertyReport::Satisfied { requirement: "r".into() });
         roundtrip(UpdateStats::default());
         roundtrip(EngineTelemetry::default());
     }
@@ -1193,35 +927,6 @@ mod tests {
             }],
         };
         roundtrip(cp);
-        roundtrip(ProcHello {
-            worker: 0,
-            shards: vec![0, 2],
-            layout: vec![("dst".into(), 8)],
-            devices: vec![("a".into(), false), ("x".into(), true)],
-            links: vec![(0, 1)],
-            actions: vec![Action::Drop, Action::Forward(vec![DeviceId(1)])],
-            subspaces: vec![SubspaceSpec::whole()],
-            loop_freedom: true,
-            bst: u64::MAX,
-            collect_class_keys: true,
-            heartbeat_ms: 200,
-            faults: ChildFaults {
-                kill_at_block: Some(3),
-                hang_at_block: None,
-                corrupt_frame: Some(1),
-            },
-        });
-    }
-
-    #[test]
-    fn hello_from_another_protocol_version_is_rejected() {
-        let mut payload = encode(&ProcHello::default());
-        let stale = PROTOCOL_VERSION + 1;
-        payload[..4].copy_from_slice(&stale.to_le_bytes());
-        let err = decode::<ProcHello>(&payload).unwrap_err().to_string();
-        assert!(err.contains(&format!("version {stale},")), "{err}");
-        assert!(err.contains(&format!("version {PROTOCOL_VERSION}:")), "{err}");
-        assert!(err.contains("rebuild flash-shardd"), "{err}");
     }
 
     #[test]

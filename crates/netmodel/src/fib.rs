@@ -38,8 +38,8 @@ impl std::error::Error for FibError {}
 /// Deterministic 64-bit hash used to totally order same-priority rules.
 /// Precomputed at intern time — an O(1) table read, but still *structural*
 /// (never interning-order-dependent), so the order agrees across
-/// processes: checkpoint restore and the process-isolated shard workers
-/// replay FIBs in fresh processes and must sort them identically.
+/// processes: a checkpoint read back from a journal file in a fresh
+/// process must sort its FIBs identically.
 pub fn match_hash(m: &Match) -> u64 {
     m.hash64()
 }

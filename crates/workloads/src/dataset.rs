@@ -16,7 +16,8 @@
 //! `ecmp(a,b,…)`. Prefix values are hex over the `dst` field's width
 //! (field widths here are not limited to IPv4's 32 bits), so route files
 //! stay byte-stable across layouts. A value may set no bit above the
-//! width or below its prefix length, so each predicate has one spelling.
+//! width or below its prefix length, so each predicate has one spelling
+//! ([`parse_route_prefix`]).
 //!
 //! The loader is two-phase by design, mirroring
 //! `flash_core::adapter`'s streaming ingest: [`load_header`] reads the
@@ -804,10 +805,13 @@ impl<'a> ActionSink<'a> {
 /// Parses `"<hex>/<len> <priority> <action>"`. The action and the match
 /// come from the reader's memos when this reader has seen their text
 /// before; every check runs on every line either way.
-fn parse_route_line(line: &str, p: &mut RouteParser<'_>) -> Result<Rule, String> {
-    let width = p.width;
-    let mut parts = line.split_whitespace();
-    let prefix = parts.next().ok_or("expected a prefix")?;
+/// Parses a route file's prefix spelling, `<hex>/<len>` over a field
+/// `width` bits wide (e.g. `40/7` at width 13), into `(value, len)`.
+/// Rejects a value with bits above the width, a length above the width
+/// and a value with bits below the length, so each prefix has exactly
+/// one spelling.
+#[inline]
+pub fn parse_route_prefix(prefix: &str, width: u32) -> Result<(u64, u32), String> {
     let (value_s, len_s) = prefix.split_once('/').ok_or("expected <hex>/<len>")?;
     let value = u64::from_str_radix(value_s, 16).map_err(|_| format!("bad hex value {value_s:?}"))?;
     if width < 64 && value >> width != 0 {
@@ -820,6 +824,13 @@ fn parse_route_line(line: &str, p: &mut RouteParser<'_>) -> Result<Rule, String>
     if len < width && value & (u64::MAX >> (64 - (width - len))) != 0 {
         return Err(format!("hex value {value_s:?} has bits below prefix length {len}"));
     }
+    Ok((value, len))
+}
+
+fn parse_route_line(line: &str, p: &mut RouteParser<'_>) -> Result<Rule, String> {
+    let mut parts = line.split_whitespace();
+    let prefix = parts.next().ok_or("expected a prefix")?;
+    let (value, len) = parse_route_prefix(prefix, p.width)?;
     let priority: i64 = parts
         .next()
         .ok_or("expected a priority")?
@@ -1323,6 +1334,20 @@ mod tests {
             assert!(e.to_string().contains(msg), "{e}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn route_prefixes_have_one_spelling() {
+        assert_eq!(parse_route_prefix("40/7", 13), Ok((0x40, 7)));
+        for (bad, msg) in [
+            ("10.0.0.0/99", "bad hex value"),
+            ("41/7", "bits below prefix length 7"),
+            ("0/14", "prefix length 14 > field width 13"),
+            ("2000/3", "bits above field width 13"),
+        ] {
+            let e = parse_route_prefix(bad, 13).unwrap_err();
+            assert!(e.contains(msg), "{bad}: {e}");
+        }
     }
 
     /// Four devices with route files that spell one action several ways,

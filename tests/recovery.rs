@@ -1,19 +1,15 @@
-//! Crash recovery, durable journals, graceful degradation and
-//! process-isolated workers — the fault-tolerance contract of the
-//! persistent shard pool:
+//! Crash recovery, durable journals and graceful degradation — the
+//! fault-tolerance contract of the persistent shard pool:
 //!
-//! * a pool taking periodic checkpoints whose workers are killed
-//!   mid-stream must produce, per epoch, **exactly** the verdicts and
-//!   class fingerprints of an unfaulted run (replay is invisible);
+//! * a pool taking periodic checkpoints whose workers are killed (or
+//!   stalled) mid-stream must produce, per epoch, **exactly** the
+//!   verdicts and class fingerprints of an unfaulted run, at 1, 2, 3
+//!   and 4 workers (replay is invisible);
 //! * a worker that exhausts its restart budget degrades instead of
 //!   wedging the pipeline — epochs are released partially, tagged with
 //!   the degraded shards — and a later successful rejoin delivers the
 //!   missing verdicts late, keeping the *cumulative* verdict stream
 //!   complete;
-//! * `ShardMode::Process` (each worker a supervised `flash-shardd`
-//!   child) is verdict-equivalent to thread mode at 1/2/4 workers, and
-//!   recovers from child aborts, hangs (heartbeat loss) and corrupted
-//!   result frames;
 //! * the durable epoch journal is rotated on every checkpoint, so its
 //!   size is bounded by the checkpoint interval, and replaying a
 //!   checkpoint is equivalent to replaying from genesis (byte-identical
@@ -25,9 +21,9 @@
 //! failing runs leave their journals behind as artifacts.
 
 use flash_core::{
-    CorruptSpec, EpochJournal, EpochReport, FaultPlan, HangSpec, JournalEntry,
-    JournalTail, KillSpec, Property, PropertyReport, RecoveryOptions, RestartPolicy, ShardMode,
-    ShardPool, ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
+    EpochJournal, EpochReport, FaultPlan, HangSpec, JournalEntry, JournalTail, KillSpec,
+    Property, PropertyReport, RecoveryOptions, RestartPolicy, ShardPool, ShardPoolConfig,
+    SubspaceVerifier, SubspaceVerifierConfig,
 };
 use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{
@@ -256,27 +252,36 @@ fn assert_stream_equivalence(net: &Net, cfg: ShardPoolConfig, label: &str) -> Ve
 }
 
 // ---------------------------------------------------------------------
-// Thread mode: checkpointed restart.
+// Checkpointed restart.
 // ---------------------------------------------------------------------
 
 /// Workers killed mid-stream with periodic checkpoints: replay happens
 /// from the last checkpoint, not genesis, and is invisible in the
-/// verdict stream.
+/// verdict stream, at 1, 2 and 4 workers.
 #[test]
 fn checkpointed_restarts_match_unfaulted_run() {
+    for workers in [1, 2, 4] {
+        checkpointed_restarts_match_unfaulted_run_at(workers);
+    }
+}
+
+/// Kills worker 0 after 3 batches and, with two or more workers,
+/// worker 1 after 6.
+fn checkpointed_restarts_match_unfaulted_run_at(workers: usize) {
     let net = diamond();
-    let mut cfg = base_config(&net, 2);
+    let mut cfg = base_config(&net, workers);
     cfg.recovery.checkpoint_every = Some(2);
-    cfg.faults = Some(FaultPlan {
-        kill_workers: vec![
-            KillSpec { worker: 0, after_batches: 3 },
-            KillSpec { worker: 1, after_batches: 6 },
-        ],
-        ..FaultPlan::default()
-    });
-    let stats = assert_stream_equivalence(&net, cfg, "thread+kill+checkpoint");
+    let kills = [
+        KillSpec { worker: 0, after_batches: 3 },
+        KillSpec { worker: 1, after_batches: 6 },
+    ];
+    let kills = kills[..workers.min(2)].to_vec();
+    let fired = kills.len() as u32;
+    cfg.faults = Some(FaultPlan { kill_workers: kills, ..FaultPlan::default() });
+    let stats = assert_stream_equivalence(&net, cfg, &format!("kill+checkpoint x{workers}"));
+    assert_eq!(stats.len(), workers);
     let restarts: u32 = stats.iter().map(|s| s.restarts).sum();
-    assert_eq!(restarts, 2, "both kill faults fired exactly once");
+    assert_eq!(restarts, fired, "every kill fault fired exactly once (x{workers})");
     for s in &stats {
         assert!(s.checkpoints >= 1, "worker {} never checkpointed", s.worker);
         // The whole point of checkpoints: replay is bounded by the
@@ -370,47 +375,27 @@ fn degraded_worker_rejoins_and_cumulative_verdicts_complete() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Process mode.
-// ---------------------------------------------------------------------
-
-/// Process-isolated workers are verdict- and class-equivalent to the
-/// sequential reference (hence to thread mode) at 1, 2 and 4 workers.
+/// Chaos at 3 workers: one worker is killed mid-stream and another
+/// stalls. The kill restarts its worker exactly once, from a checkpoint;
+/// the hang only slows its epochs and restarts nothing. Neither shows
+/// in the verdict stream.
 #[test]
-fn process_mode_matches_reference_at_1_2_4_workers() {
-    let net = diamond();
-    for workers in [1usize, 2, 4] {
-        let mut cfg = base_config(&net, workers);
-        cfg.recovery.mode = ShardMode::Process;
-        cfg.recovery.checkpoint_every = Some(3);
-        assert_stream_equivalence(&net, cfg, &format!("process x{workers}"));
-    }
-}
-
-/// Chaos in process mode: one child aborts mid-block, one wedges (and
-/// is caught by heartbeat loss), one corrupts a result frame (and is
-/// caught by the checksum). All three are killed, respawned and
-/// replayed from checkpoints — invisibly.
-#[test]
-fn process_mode_survives_abort_hang_and_corruption() {
+fn kill_and_hang_are_invisible_at_3_workers() {
     let net = diamond();
     let mut cfg = base_config(&net, 3);
-    cfg.recovery.mode = ShardMode::Process;
     cfg.recovery.checkpoint_every = Some(2);
-    cfg.recovery.heartbeat_timeout = Some(Duration::from_millis(250));
     cfg.faults = Some(FaultPlan {
-        kill_process: vec![KillSpec { worker: 1, after_batches: 3 }],
+        kill_workers: vec![KillSpec { worker: 1, after_batches: 3 }],
         hang_workers: vec![HangSpec {
             worker: 2,
             after_batches: 4,
-            duration: Duration::from_millis(1500),
+            duration: Duration::from_millis(300),
         }],
-        corrupt_frames: vec![CorruptSpec { worker: 0, after_frames: 2 }],
         ..FaultPlan::default()
     });
-    let stats = assert_stream_equivalence(&net, cfg, "process+chaos");
-    let restarts: u32 = stats.iter().map(|s| s.restarts).sum();
-    assert!(restarts >= 3, "abort, hang and corruption must each force a respawn");
+    let stats = assert_stream_equivalence(&net, cfg, "kill+hang x3");
+    let restarts: Vec<u32> = stats.iter().map(|s| s.restarts).collect();
+    assert_eq!(restarts, vec![0, 1, 0], "the kill restarts once, the hang never");
 }
 
 // ---------------------------------------------------------------------
