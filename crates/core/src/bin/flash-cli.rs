@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! flash-cli check <network-file> [--classes] [--quiet]
-//! flash-cli journal <journal-file>
 //! flash-cli dataset generate <dir> [--k N] [--hostbits N] [--prefixes N] [--quiet]
 //! flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N]
 //! flash-cli query <dataset-dir> --src <device> --dst <device> [--via <device>]
@@ -23,11 +22,6 @@
 //! table, pass two runs `--ingest-threads N` readers (N >= 1, default:
 //! the machine's available parallelism) that feed the bulk-load path.
 //!
-//! `journal` pretty-prints a durable epoch journal (a `worker-N.fjl`
-//! file written by `RecoveryOptions::journal_dir`): the checkpoint it
-//! leads with, the jobs journaled since, and whether the tail is clean
-//! or torn by a crash. Exit code 1 on a torn tail.
-//!
 //! `query` loads a dataset directory into a sharded pool with the
 //! epoch-snapshot query tier attached and answers one reachability (or,
 //! with `--via`, waypoint) question against the sealed snapshots.
@@ -42,9 +36,8 @@
 
 use flash_core::adapter::{format_prefix, parse_network};
 use flash_core::{
-    AnswerKind, Backpressure, EpochJournal, JournalEntry, JournalTail, Property, PropertyReport,
-    Query, QueryHub, QueryService, QueryServiceConfig, ShardPool, ShardPoolConfig,
-    SubspaceVerifier, SubspaceVerifierConfig,
+    AnswerKind, Backpressure, Property, PropertyReport, Query, QueryHub, QueryService,
+    QueryServiceConfig, ShardPool, ShardPoolConfig, SubspaceVerifier, SubspaceVerifierConfig,
 };
 use flash_imt::{SubspacePlan, SubspaceSpec};
 use flash_netmodel::{ActionTable, DeviceId, FieldId, HeaderLayout, RuleUpdate, Topology};
@@ -55,7 +48,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: flash-cli check <network-file> [--classes] [--quiet]\n       \
-     flash-cli journal <journal-file>\n       \
      flash-cli dataset generate <dir> [--k N] [--hostbits N] [--prefixes N] [--quiet]\n       \
      flash-cli dataset load <dir> [--classes] [--quiet] [--ingest-threads N>=1]\n       \
      flash-cli query <dataset-dir> --src <device> --dst <device> [--via <device>] \
@@ -94,10 +86,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => cmd_check(&args[1..]),
-        Some("journal") => match parse_args(&args[1..], &[], &[]) {
-            Some((Some(path), _)) => print_journal(path),
-            _ => usage(),
-        },
         Some("dataset") => cmd_dataset(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         _ => usage(),
@@ -581,77 +569,6 @@ fn cmd_query(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
-}
-
-/// Pretty-prints a durable epoch journal: checkpoint summary, journaled
-/// jobs, tail status.
-fn print_journal(path: &str) -> ExitCode {
-    let (entries, tail) = match EpochJournal::read_entries(path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!("{path}: {} entries", entries.len());
-    for (i, e) in entries.iter().enumerate() {
-        match e {
-            JournalEntry::Checkpoint(cp) => {
-                let last = if cp.last_seq == u64::MAX {
-                    "-".to_string()
-                } else {
-                    cp.last_seq.to_string()
-                };
-                println!(
-                    "  [{i}] checkpoint worker={} last_seq={last} shards={} delivered={}",
-                    cp.worker,
-                    cp.shards.len(),
-                    cp.reported.len()
-                );
-                for s in &cp.shards {
-                    println!(
-                        "        shard {} built={} fib_rules={} synced={} classes={} \
-                         updates_accepted={}",
-                        s.shard,
-                        s.built,
-                        s.fibs.iter().map(|(_, rs)| rs.len()).sum::<usize>(),
-                        s.synced.len(),
-                        s.class_fingerprints.len(),
-                        s.stats.updates_accepted
-                    );
-                }
-            }
-            JournalEntry::Block(b) => {
-                println!(
-                    "  [{i}] block seq={} updates={} shards_touched={}",
-                    b.seq,
-                    b.updates.len(),
-                    b.routed.iter().filter(|r| !r.is_empty()).count()
-                );
-            }
-            JournalEntry::Collect => println!("  [{i}] collect"),
-            JournalEntry::Ingest(b) => {
-                println!(
-                    "  [{i}] ingest updates={} shards_touched={}",
-                    b.updates.len(),
-                    b.routed.iter().filter(|r| !r.is_empty()).count()
-                );
-            }
-            JournalEntry::Seal { seq, devices } => {
-                println!("  [{i}] seal seq={seq} devices={}", devices.len());
-            }
-        }
-    }
-    match tail {
-        JournalTail::Clean => {
-            println!("tail: clean");
-            ExitCode::SUCCESS
-        }
-        JournalTail::Torn(msg) => {
-            println!("tail: torn ({msg}) — entries above were recovered");
-            ExitCode::from(1)
-        }
     }
 }
 

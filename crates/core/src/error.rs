@@ -18,9 +18,6 @@ pub enum FlashError {
     RestartsExhausted { worker: usize, restarts: u32 },
     /// An invalid service or fault-plan configuration.
     Config(String),
-    /// A durable epoch-journal operation failed (I/O or corruption
-    /// beyond the tolerated torn tail).
-    Journal(String),
 }
 
 impl FlashError {
@@ -49,7 +46,6 @@ impl std::fmt::Display for FlashError {
                 write!(f, "worker {worker} abandoned after {restarts} restarts")
             }
             FlashError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            FlashError::Journal(msg) => write!(f, "journal: {msg}"),
         }
     }
 }

@@ -63,28 +63,24 @@ pub mod channel;
 pub mod dispatcher;
 pub mod error;
 pub mod fault;
-pub mod journal;
 mod pool;
 pub mod query;
 pub mod shard;
 pub mod supervise;
 pub mod verifier;
-pub mod wire;
 
 pub use channel::ChannelStats;
 pub use dispatcher::{Dispatcher, DispatcherConfig, TimedReport};
 pub use error::FlashError;
 pub use fault::{FaultPlan, HangSpec, KillSpec};
-pub use journal::{EpochJournal, JournalEntry, JournalTail};
 pub use pool::WorkerStats;
 pub use query::{
     AnswerKind, Backpressure, PendingAnswer, Query, QueryAnswer, QueryHub, QueryRejected,
     QueryService, QueryServiceConfig, QuerySession, TenantStats,
 };
 pub use shard::{
-    DegradedShard, EpochReport, RecoveryOptions, ShardDrainOutcome, ShardPool, ShardPoolConfig,
-    ShardResult, UpdateBlock,
+    DegradedShard, EpochReport, ShardDrainOutcome, ShardPool, ShardPoolConfig, ShardResult,
+    UpdateBlock,
 };
 pub use supervise::{RestartPolicy, WorkerHealth};
 pub use verifier::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
-pub use wire::{ShardCheckpoint, WorkerCheckpoint};

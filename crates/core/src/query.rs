@@ -60,7 +60,7 @@ impl QueryHub {
     }
 
     /// Installs `snap` as shard `shard`'s latest sealed snapshot.
-    /// Monotone: an older epoch (a crashed worker replaying its journal)
+    /// Monotone: an older epoch (a crashed worker replaying its history)
     /// never replaces a newer one.
     pub fn publish(&self, shard: usize, snap: Arc<EpochSnapshot>) {
         let mut slot = self.slots[shard].write().unwrap();
@@ -571,7 +571,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{RecoveryOptions, ShardPool, ShardPoolConfig};
+    use crate::shard::{ShardPool, ShardPoolConfig};
     use flash_netmodel::{FieldId, Rule, Topology};
     use std::time::Duration;
 
@@ -611,7 +611,7 @@ mod tests {
             restart: crate::supervise::RestartPolicy::default(),
             collect_class_keys: false,
             faults: None,
-            recovery: RecoveryOptions::default(),
+            checkpoint_every: None,
             query_hub: Some(Arc::clone(&hub)),
         };
         let svc = QueryService::spawn(QueryServiceConfig::for_pool(
@@ -668,8 +668,9 @@ mod tests {
             other => panic!("wrong kind {other:?}"),
         }
 
-        // The high half of the space was never routed: its shard has no
-        // snapshot yet and reports as missing.
+        // The high half of the space was never routed, but its shard
+        // still published its one-class default model: every switch
+        // drops there, so a delivers to nothing.
         let high = session
             .query(Query::Reach {
                 src: ids[0],
@@ -678,8 +679,8 @@ mod tests {
                 prefix_len: 1,
             })
             .expect("admitted");
-        assert_eq!(high.missing, vec![1]);
-        assert_eq!(high.kind, AnswerKind::Reach { classes: 0, reachable: 0 });
+        assert!(high.missing.is_empty(), "the never-routed shard has a snapshot");
+        assert_eq!(high.kind, AnswerKind::Reach { classes: 1, reachable: 0 });
 
         // What-if on an update already applied: it cancels against
         // nothing, so it touches the class(es) its match intersects.

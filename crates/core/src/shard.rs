@@ -26,30 +26,28 @@
 //! a per-epoch view.
 //!
 //! Workers run under supervision ([`crate::supervise`]): a panicking
-//! worker is rebuilt by replaying its journaled block history, and the
+//! worker is rebuilt by replaying the block history it kept in memory
+//! (from its last checkpoint, when checkpointing is on), and the
 //! `reported` set it keeps outside the unwind boundary suppresses
 //! duplicate results, so the aggregator's per-epoch accounting
 //! survives crashes.
 
 use crate::error::FlashError;
 use crate::fault::FaultPlan;
-use crate::journal::EpochJournal;
 use crate::pool::{PoolConfig, WorkerPool, WorkerStats};
 use crate::supervise::{OutputClosed, RestartPolicy, SupervisedWorker, WorkerFaults, WorkerHealth};
 use crate::verifier::{Property, PropertyReport, SubspaceVerifier, SubspaceVerifierConfig};
-use crate::wire::{ShardCheckpoint, WorkerCheckpoint};
 use flash_bdd::EngineTelemetry;
 use flash_imt::{SubspacePlan, UpdateStats};
-use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, RuleUpdate, Topology};
+use flash_netmodel::{ActionTable, DeviceId, HeaderLayout, Rule, RuleUpdate, Topology};
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One routed update block. Shared by `Arc` between the router, every
-/// worker queue, and every journal: the updates are stored once, and
-/// `routed[shard]` lists the indices that shard must apply.
+/// worker queue, and every replay journal: the updates are stored once,
+/// and `routed[shard]` lists the indices that shard must apply.
 #[derive(Debug)]
 pub struct UpdateBlock {
     /// Position in the submission order (the aggregator's epoch key).
@@ -77,7 +75,7 @@ impl UpdateBlock {
 /// Sentinel sequence number carried by bulk-ingestion blocks: they
 /// consume no aggregator epoch (no results are emitted until the
 /// closing [`ShardJob::Seal`], which has a real seq).
-pub const INGEST_SEQ: u64 = u64::MAX;
+const INGEST_SEQ: u64 = u64::MAX;
 
 /// A job on a shard worker's queue.
 #[derive(Clone, Debug)]
@@ -105,8 +103,9 @@ pub struct ShardResult {
     /// Worker that owns the shard.
     pub worker: usize,
     /// True when the block routed nothing to this shard and no
-    /// properties are registered: the engine was not even constructed
-    /// (or touched), and the stats echo the previous state.
+    /// properties are registered: the engine was not touched, and the
+    /// stats echo the previous state. (With a query hub, a never-built
+    /// shard is built once anyway, to publish its default model.)
     pub skipped: bool,
     /// Time the worker spent on this shard for this block.
     pub cpu: Duration,
@@ -187,11 +186,6 @@ impl EpochReport {
         self.shards.iter().map(|s| s.bytes).sum()
     }
 
-    /// Sum of per-shard processing time for this block.
-    pub fn cpu_total(&self) -> Duration {
-        self.shards.iter().map(|s| s.cpu).sum()
-    }
-
     /// The slowest shard — the block's critical path with one core per
     /// shard.
     pub fn max_cpu(&self) -> Duration {
@@ -225,22 +219,6 @@ impl EpochReport {
     }
 }
 
-/// Durability knobs of a [`ShardPool`].
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryOptions {
-    /// Take a per-worker checkpoint (and truncate the replay journal)
-    /// every this many jobs. `None` (default) disables checkpointing:
-    /// crash replay starts from genesis and the journal grows with the
-    /// stream, as before this option existed.
-    pub checkpoint_every: Option<u64>,
-    /// When set, every worker also appends its jobs to a durable,
-    /// checksummed journal file `worker-<w>.fjl` in this directory
-    /// (rotated at each checkpoint); inspectable with
-    /// `flash-cli journal`. Best-effort: journal I/O errors disable the
-    /// durable journal rather than failing verification.
-    pub journal_dir: Option<PathBuf>,
-}
-
 /// Configuration of a [`ShardPool`].
 #[derive(Clone)]
 pub struct ShardPoolConfig {
@@ -250,7 +228,8 @@ pub struct ShardPoolConfig {
     /// The input-space partition; one warm verifier per subspace.
     pub plan: SubspacePlan,
     /// Properties each shard verifies. Empty = pure model construction
-    /// (blocks with nothing routed to a shard skip it entirely).
+    /// (blocks with nothing routed to a shard skip it, once it has
+    /// published a model to the query hub, if there is one).
     pub properties: Vec<Property>,
     /// Fast IMT block size threshold (per shard).
     pub bst: usize,
@@ -266,8 +245,10 @@ pub struct ShardPoolConfig {
     pub collect_class_keys: bool,
     /// Optional chaos testing: worker kills, hangs and per-batch delays.
     pub faults: Option<FaultPlan>,
-    /// Checkpointing and durable journaling.
-    pub recovery: RecoveryOptions,
+    /// Take a per-worker checkpoint (and truncate the replay journal)
+    /// every this many jobs. `None` disables checkpointing: crash replay
+    /// starts from genesis and the journal grows with the stream.
+    pub checkpoint_every: Option<u64>,
     /// Snapshot exchange for the concurrent query tier: when set, every
     /// worker publishes one [`flash_imt::EpochSnapshot`] per built shard
     /// into this hub after each applied block and each bulk-ingestion
@@ -290,10 +271,26 @@ impl ShardPoolConfig {
             restart: RestartPolicy::default(),
             collect_class_keys: false,
             faults: None,
-            recovery: RecoveryOptions::default(),
+            checkpoint_every: None,
             query_hub: None,
         }
     }
+}
+
+/// One built shard's recovery state. The inverse model is a
+/// deterministic function of the FIBs, so this holds rule snapshots,
+/// not engine state.
+struct ShardCheckpoint {
+    /// Global shard (subspace) index.
+    shard: usize,
+    /// Per-device FIB rule snapshots, default wildcard omitted.
+    fibs: Vec<(DeviceId, Vec<Rule>)>,
+    /// Devices the loop verifier had marked synchronized.
+    synced: Vec<DeviceId>,
+    /// Verdict keys already emitted by the shard's verifier.
+    emitted: Vec<String>,
+    /// Sorted distinct class fingerprints at checkpoint time.
+    class_fingerprints: Vec<u64>,
 }
 
 /// The verification core of one shard worker: the warm verifiers for
@@ -327,13 +324,10 @@ impl ShardCore {
         cfg: Arc<ShardPoolConfig>,
         shards: Vec<usize>,
         worker: usize,
-        cp: &WorkerCheckpoint,
+        cp: &[ShardCheckpoint],
     ) -> Self {
         let mut core = ShardCore::new(cfg, shards, worker);
-        for scp in &cp.shards {
-            if !scp.built {
-                continue;
-            }
+        for scp in cp {
             let Some(local) = core.shards.iter().position(|&s| s == scp.shard) else {
                 continue;
             };
@@ -398,6 +392,15 @@ impl ShardCore {
         }
     }
 
+    /// True when owned shard `local` was never built but the query hub
+    /// is set: the shard must still be built once, so that it publishes
+    /// its one-class default model. Without it, a query over a block no
+    /// rule names finds no snapshot there, and its answer would depend
+    /// on how many shards the plan has.
+    fn needs_default_model(&self, local: usize) -> bool {
+        self.cfg.query_hub.is_some() && self.slots[local].is_none()
+    }
+
     /// Owned shard `local`'s result for epoch `seq`, read from its
     /// verifier; a shard whose engine was never built reports zeros.
     fn result(
@@ -456,7 +459,7 @@ impl ShardCore {
         for local in 0..self.slots.len() {
             let t0 = Instant::now();
             let routed = &block.routed[self.shards[local]];
-            if routed.is_empty() && model_only {
+            if routed.is_empty() && model_only && !self.needs_default_model(local) {
                 // Nothing routed here and nothing to verify: don't
                 // construct (or touch) the engine. Echo the previous
                 // state so aggregate counters stay meaningful.
@@ -535,7 +538,7 @@ impl ShardCore {
         let model_only = self.cfg.properties.is_empty();
         for local in 0..self.slots.len() {
             let t0 = Instant::now();
-            if self.slots[local].is_none() && model_only {
+            if self.slots[local].is_none() && model_only && !self.needs_default_model(local) {
                 // Never touched and nothing to verify: echo an empty
                 // skipped result so the aggregator's epoch completes.
                 sink(self.result(local, seq, true, t0, Vec::new()))?;
@@ -548,52 +551,27 @@ impl ShardCore {
         Ok(())
     }
 
-    /// Snapshots the core's recovery state: per-shard FIB rule
-    /// snapshots, synchronized devices, emitted-verdict keys, and class
-    /// fingerprints, plus the caller's delivery bookkeeping.
-    fn checkpoint(
-        &self,
-        last_seq: Option<u64>,
-        reported: &HashSet<(u64, usize)>,
-    ) -> WorkerCheckpoint {
-        let shards = self
-            .slots
+    /// Snapshots the core's recovery state: per built shard, its FIB
+    /// rule snapshots, synchronized devices, emitted-verdict keys, and
+    /// class fingerprints. A never-built shard restores as never built.
+    fn checkpoint(&self) -> Vec<ShardCheckpoint> {
+        self.slots
             .iter()
-            .enumerate()
-            .map(|(local, slot)| {
-                let shard = self.shards[local];
-                match slot {
-                    None => ShardCheckpoint { shard, ..ShardCheckpoint::default() },
-                    Some(v) => {
-                        let mut fingerprints = v.manager().class_keys();
-                        fingerprints.sort_unstable();
-                        fingerprints.dedup();
-                        ShardCheckpoint {
-                            shard,
-                            built: true,
-                            fibs: v.manager().fib_snapshot(),
-                            synced: v.synchronized_devices(),
-                            emitted: v.emitted_keys(),
-                            class_fingerprints: fingerprints,
-                            // Cumulative counters are recorded for
-                            // inspection; restored managers count from
-                            // their own incarnation (documented in
-                            // DESIGN.md §Fault model).
-                            stats: v.manager().stats(),
-                        }
-                    }
-                }
+            .zip(&self.shards)
+            .filter_map(|(slot, &shard)| {
+                let v = slot.as_ref()?;
+                let mut fingerprints = v.manager().class_keys();
+                fingerprints.sort_unstable();
+                fingerprints.dedup();
+                Some(ShardCheckpoint {
+                    shard,
+                    fibs: v.manager().fib_snapshot(),
+                    synced: v.synchronized_devices(),
+                    emitted: v.emitted_keys(),
+                    class_fingerprints: fingerprints,
+                })
             })
-            .collect();
-        let mut reported: Vec<(u64, u64)> =
-            reported.iter().map(|&(seq, shard)| (seq, shard as u64)).collect();
-        reported.sort_unstable();
-        WorkerCheckpoint {
-            worker: self.worker,
-            last_seq: last_seq.unwrap_or(u64::MAX),
-            reported,
-            shards,
-        }
+            .collect()
     }
 
     fn telemetry(&self) -> EngineTelemetry {
@@ -605,9 +583,9 @@ impl ShardCore {
     }
 }
 
-/// A shard worker's body: a [`ShardCore`] plus delivery deduplication
-/// and the optional durable journal. The struct itself lives outside
-/// the unwind boundary and survives restarts.
+/// A shard worker's body: a [`ShardCore`] plus delivery deduplication.
+/// The struct itself lives outside the unwind boundary and survives
+/// restarts.
 struct ShardWorker {
     cfg: Arc<ShardPoolConfig>,
     /// Global shard indices this worker owns.
@@ -617,60 +595,26 @@ struct ShardWorker {
     /// `(seq, shard)` pairs already delivered; survives restarts so
     /// journal replay never double-reports an epoch to the aggregator.
     reported: HashSet<(u64, usize)>,
-    /// Highest block seq processed (checkpoint metadata).
-    last_seq: Option<u64>,
-    /// Durable frame journal, when [`RecoveryOptions::journal_dir`] is
-    /// set. Best-effort: disabled on the first I/O error.
-    journal: Option<EpochJournal>,
-}
-
-/// Opens the durable journal for worker `w` under `dir`, best-effort.
-fn open_worker_journal(dir: &Option<PathBuf>, w: usize) -> Option<EpochJournal> {
-    let dir = dir.as_ref()?;
-    match EpochJournal::create(dir.join(format!("worker-{w}.fjl"))) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("flash: disabling durable journal for worker {w}: {e}");
-            None
-        }
-    }
-}
-
-impl ShardWorker {
-    fn journal_append(&mut self, job: &ShardJob) {
-        if let Some(j) = &mut self.journal {
-            let res = match job {
-                ShardJob::Block(b) => j.append_block(b),
-                ShardJob::Collect => j.append_collect(),
-                ShardJob::Ingest(b) => j.append_ingest(b),
-                ShardJob::Seal { seq, devices } => j.append_seal(*seq, devices),
-            };
-            if let Err(e) = res {
-                eprintln!("flash: disabling durable journal: {e}");
-                self.journal = None;
-            }
-        }
-    }
 }
 
 impl SupervisedWorker for ShardWorker {
     type Job = ShardJob;
     type State = ShardCore;
-    type Checkpoint = WorkerCheckpoint;
+    type Checkpoint = Vec<ShardCheckpoint>;
 
     fn build(&mut self) -> ShardCore {
         ShardCore::new(self.cfg.clone(), self.shards.clone(), self.worker)
     }
 
-    fn restore(&mut self, cp: &WorkerCheckpoint) -> ShardCore {
+    fn restore(&mut self, cp: &Vec<ShardCheckpoint>) -> ShardCore {
         ShardCore::restore(self.cfg.clone(), self.shards.clone(), self.worker, cp)
     }
 
     fn checkpoint_every(&self) -> Option<u64> {
-        self.cfg.recovery.checkpoint_every
+        self.cfg.checkpoint_every
     }
 
-    fn take_checkpoint(&mut self, state: &mut ShardCore) -> Option<WorkerCheckpoint> {
+    fn take_checkpoint(&mut self, state: &mut ShardCore) -> Option<Vec<ShardCheckpoint>> {
         if state.has_pending() {
             // Mid-bulk-ingestion: buffered updates are not yet in the
             // FIB snapshots. Skip this opportunity — the journal keeps
@@ -678,20 +622,7 @@ impl SupervisedWorker for ShardWorker {
             // truncates it.
             return None;
         }
-        Some(state.checkpoint(self.last_seq, &self.reported))
-    }
-
-    fn journal_job(&mut self, job: &ShardJob) {
-        self.journal_append(job);
-    }
-
-    fn journal_checkpoint(&mut self, cp: &WorkerCheckpoint) {
-        if let Some(j) = &mut self.journal {
-            if let Err(e) = j.rotate_checkpoint(cp) {
-                eprintln!("flash: disabling durable journal: {e}");
-                self.journal = None;
-            }
-        }
+        Some(state.checkpoint())
     }
 
     fn process(&mut self, state: &mut ShardCore, job: ShardJob) -> Result<(), OutputClosed> {
@@ -701,7 +632,6 @@ impl SupervisedWorker for ShardWorker {
                 Ok(())
             }
             ShardJob::Block(block) => {
-                self.last_seq = Some(block.seq);
                 let reported = &mut self.reported;
                 let out = &self.out;
                 state.apply_block(&block, |r| {
@@ -715,12 +645,11 @@ impl SupervisedWorker for ShardWorker {
                 })
             }
             ShardJob::Ingest(block) => {
-                // Buffered only; results (and last_seq) wait for Seal.
+                // Buffered only; results wait for Seal.
                 state.ingest_block(&block);
                 Ok(())
             }
             ShardJob::Seal { seq, devices } => {
-                self.last_seq = Some(seq);
                 let reported = &mut self.reported;
                 let out = &self.out;
                 state.seal(seq, &devices, |r| {
@@ -865,8 +794,6 @@ impl ShardPool {
             worker: w,
             out: results_tx.clone(),
             reported: HashSet::new(),
-            last_seq: None,
-            journal: open_worker_journal(&cfg.recovery.journal_dir, w),
         });
         Ok(ShardPool {
             pool,
@@ -1179,7 +1106,7 @@ mod tests {
             restart: RestartPolicy::default(),
             collect_class_keys: true,
             faults: None,
-            recovery: RecoveryOptions::default(),
+            checkpoint_every: None,
             query_hub: None,
         }
     }
@@ -1511,7 +1438,7 @@ mod tests {
         // bulk queue must hold back the whole worker's checkpoint.
         let plan = SubspacePlan::by_prefix_bits(&layout, FieldId(0), 1);
         let mut cfg = pool_config(&topo, &actions, &layout, plan, 1);
-        cfg.recovery.checkpoint_every = Some(1);
+        cfg.checkpoint_every = Some(1);
         let mut pool = ShardPool::spawn(cfg).unwrap();
         let m = Match::dst_prefix(&layout, 10, 8);
         let fwd_b = flash_netmodel::ActionId(2);
@@ -1544,6 +1471,91 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         pool.drain(Duration::from_secs(10));
+    }
+
+    /// A diamond with a chord over an 8-bit `dst`, and five blocks on it:
+    /// a forwarding chain per quarter, churn, a 2-cycle, a delete, and a
+    /// 3-cycle.
+    fn diamond_stream() -> (ShardPoolConfig, Vec<Vec<(DeviceId, RuleUpdate)>>) {
+        let mut t = Topology::new();
+        let d: Vec<DeviceId> = ["a", "b", "c", "d"].iter().map(|n| t.add_device(*n)).collect();
+        for i in 0..4 {
+            t.add_bilink(d[i], d[(i + 1) % 4]);
+        }
+        t.add_bilink(d[0], d[2]);
+        let layout = HeaderLayout::new(&[("dst", 8)]);
+        let mut at = ActionTable::new();
+        let fwd: Vec<_> = d.iter().map(|&x| at.fwd(x)).collect();
+        let q = |i: u64| Match::dst_prefix(&layout, i << 6, 2);
+        let p = |i: u64, v: u64| Match::dst_prefix(&layout, (i << 6) | (v << 2), 6);
+        let ins = |dev: usize, m: Match, prio: i64, to: usize| {
+            (d[dev], RuleUpdate::insert(Rule::new(m, prio, fwd[to])))
+        };
+        let stream = vec![
+            (0..4).map(|i| ins(i, q(i as u64), 2, (i + 1) % 4)).collect(),
+            vec![ins(0, p(0, 3), 6, 2), ins(2, p(2, 5), 6, 3), ins(3, p(3, 1), 6, 0)],
+            vec![ins(0, p(1, 7), 6, 1), ins(1, p(1, 7), 6, 0)],
+            vec![
+                (d[0], RuleUpdate::delete(Rule::new(p(0, 3), 6, fwd[2]))),
+                ins(2, p(2, 9), 6, 1),
+            ],
+            vec![ins(1, p(3, 11), 6, 2), ins(2, p(3, 11), 6, 3), ins(3, p(3, 11), 6, 1)],
+        ];
+        let plan = SubspacePlan::by_prefix_bits(&layout, FieldId(0), 2);
+        let cfg = pool_config(&Arc::new(t), &Arc::new(at), &layout, plan, 1);
+        (cfg, stream)
+    }
+
+    /// A checkpoint is equivalent to genesis replay: after k blocks,
+    /// every built shard's checkpointed class fingerprints equal those
+    /// of a fresh verifier replayed over the same k blocks, and a core
+    /// restored from the checkpoint reproduces them (`restore` asserts
+    /// that itself while `collect_class_keys` is set).
+    #[test]
+    fn checkpoint_matches_genesis_replay() {
+        let (cfg, stream) = diamond_stream();
+        let cfg = Arc::new(cfg);
+        let shards: Vec<usize> = (0..cfg.plan.len()).collect();
+        let router = BlockRouter { plan: cfg.plan.clone(), layout: cfg.layout.clone() };
+        let k = 4;
+        let mut core = ShardCore::new(cfg.clone(), shards.clone(), 0);
+        let mut loops = 0;
+        for (seq, updates) in stream[..k].iter().enumerate() {
+            let RoutedBatch { updates, routed } = router.route(updates.clone());
+            let block = UpdateBlock { seq: seq as u64, updates, routed };
+            let sink = |r: ShardResult| {
+                loops += r
+                    .reports
+                    .iter()
+                    .filter(|rep| matches!(rep, PropertyReport::LoopFound { .. }))
+                    .count();
+                Ok(())
+            };
+            assert!(core.apply_block(&block, sink).is_ok());
+        }
+        assert_eq!(loops, 1, "the 2-cycle of block 2 is reported once");
+        let cp = core.checkpoint();
+        assert_eq!(cp.len(), shards.len(), "block 0 built every shard");
+        for scp in &cp {
+            let mut v = core.build_verifier(scp.shard);
+            for block in &stream[..k] {
+                for (d, u) in block {
+                    v.ingest(*d, vec![*u]);
+                }
+                v.flush();
+            }
+            let mut genesis = v.manager().class_keys();
+            genesis.sort_unstable();
+            genesis.dedup();
+            assert_eq!(
+                genesis, scp.class_fingerprints,
+                "shard {}: checkpoint fingerprints must equal genesis replay",
+                scp.shard
+            );
+        }
+        assert!(cp.iter().any(|scp| !scp.emitted.is_empty()), "the loop verdict is kept");
+        let restored = ShardCore::restore(cfg, shards, 0, &cp);
+        assert!(restored.slots.iter().all(Option::is_some), "every shard is rebuilt");
     }
 
     #[test]

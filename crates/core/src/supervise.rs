@@ -1,5 +1,5 @@
-//! Worker supervision: `catch_unwind` isolation plus journal-replay
-//! recovery, generic over the work a worker performs.
+//! Worker supervision: `catch_unwind` isolation plus replay recovery,
+//! generic over the work a worker performs.
 //!
 //! The shard pool's persistent subspace verifiers ([`crate::shard`])
 //! run under this supervision loop, one OS thread per worker. A worker
@@ -7,7 +7,7 @@
 //! `!Send`) processing state on the worker's own OS thread, and
 //! `process` consumes one job. When the worker panics, the supervisor
 //! (the same OS thread, one frame up) rebuilds fresh state and
-//! **replays the journaled job history** through it —
+//! **replays the job history it kept in memory** through it —
 //! the paper's epoch-replay mechanism ("flushes the updates from the
 //! device's update queue"), reused for crash recovery: replaying the
 //! same jobs deterministically reconstructs trackers, model state, and
@@ -16,13 +16,14 @@
 //! boundary (in the [`SupervisedWorker`] impl itself, which survives
 //! restarts), so consumers see each verdict exactly once.
 //!
-//! The journal is **bounded**: a worker that opts into checkpointing
+//! The history is **bounded**: a worker that opts into checkpointing
 //! ([`SupervisedWorker::checkpoint_every`]) periodically snapshots its
 //! recovery state, and the [`ReplayJournal`] truncates the job history
-//! at every snapshot — replay cost and journal memory are bounded by
+//! at every snapshot — replay cost and history memory are bounded by
 //! the checkpoint interval, not the stream length. A restart then runs
 //! [`SupervisedWorker::restore`] and replays only the post-checkpoint
-//! suffix.
+//! suffix. Nothing is written to disk: a process that dies loses the
+//! history with its verifiers.
 //!
 //! Restarts are budgeted by [`RestartPolicy`]: exponential backoff
 //! (capped, and interruptible by shutdown so a drain deadline is never
@@ -30,15 +31,14 @@
 //! `max_restarts` failures the worker is either abandoned — its
 //! receiver drops, so senders observe a disconnected channel instead
 //! of blocking forever — or, with [`RestartPolicy::rejoin_backoff`]
-//! set, **degraded**: it keeps journaling inbound jobs without
+//! set, **degraded**: it keeps recording inbound jobs without
 //! processing them and periodically attempts a full rebuild. A
-//! successful rebuild replays the journal and rejoins the live stream;
+//! successful rebuild replays the history and rejoins the live stream;
 //! consumers (the shard aggregator) meanwhile release partial epochs
 //! instead of wedging.
 
 use crate::channel::{PolicyReceiver, RecvTimeoutError};
 use crate::error::FlashError;
-use crate::journal::ReplayJournal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -218,19 +218,58 @@ pub(crate) trait SupervisedWorker {
         None
     }
 
-    /// Hook: a live job was journaled (before processing). Durable
-    /// journal writers append the job frame here.
-    fn journal_job(&mut self, _job: &Self::Job) {}
-
-    /// Hook: a checkpoint was taken and the journal truncated. Durable
-    /// journal writers rotate the file here.
-    fn journal_checkpoint(&mut self, _cp: &Self::Checkpoint) {}
-
     /// Processes one job, sending any results to the worker's output.
     fn process(&mut self, state: &mut Self::State, job: Self::Job) -> Result<(), OutputClosed>;
 
     /// Aggregate predicate-engine snapshot of the current state.
     fn telemetry(&self, state: &Self::State) -> flash_bdd::EngineTelemetry;
+}
+
+/// Bounded in-memory replay journal: at most one checkpoint plus the
+/// jobs that arrived after it. Installing a checkpoint **truncates** the
+/// job history, so replay cost and journal memory are bounded by the
+/// checkpoint interval, not the stream length.
+pub(crate) struct ReplayJournal<J, C> {
+    checkpoint: Option<C>,
+    jobs: Vec<J>,
+    truncations: u64,
+}
+
+impl<J, C> ReplayJournal<J, C> {
+    pub fn new() -> Self {
+        ReplayJournal { checkpoint: None, jobs: Vec::new(), truncations: 0 }
+    }
+
+    pub fn push(&mut self, job: J) {
+        self.jobs.push(job);
+    }
+
+    /// Jobs to replay after the checkpoint (or from genesis).
+    pub fn jobs(&self) -> &[J] {
+        &self.jobs
+    }
+
+    pub fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    pub fn checkpoint(&self) -> Option<&C> {
+        self.checkpoint.as_ref()
+    }
+
+    /// Installs a checkpoint reflecting every journaled job and
+    /// truncates the job history — the recovery-cost bound.
+    pub fn install(&mut self, cp: C) {
+        self.checkpoint = Some(cp);
+        self.jobs.clear();
+        self.truncations += 1;
+    }
+
+    /// Times a checkpoint truncated the journal.
+    #[cfg(test)]
+    pub fn truncations(&self) -> u64 {
+        self.truncations
+    }
 }
 
 enum ExitReason {
@@ -307,8 +346,7 @@ pub(crate) fn run_supervised<W: SupervisedWorker>(
                     break;
                 }
                 shared.set_health(WorkerHealth::Degraded);
-                let disconnected =
-                    degraded_wait(&mut worker, &rx, &mut journal, every, &shared);
+                let disconnected = degraded_wait(&rx, &mut journal, every, &shared);
                 final_attempt = disconnected;
                 shared.rejoins.fetch_add(1, Ordering::SeqCst);
                 shared.set_health(WorkerHealth::Running);
@@ -321,15 +359,13 @@ pub(crate) fn run_supervised<W: SupervisedWorker>(
     // disconnected channel instead of blocking.
 }
 
-/// The degraded state: consume inbound jobs into the journal (and the
-/// durable journal, via the hook) without processing them, until
-/// `every` has elapsed (time for a rejoin attempt) or the channel
-/// disconnects (drain: attempt a final rejoin now). Returns `true` on
-/// disconnection.
-fn degraded_wait<W: SupervisedWorker>(
-    worker: &mut W,
-    rx: &PolicyReceiver<W::Job>,
-    journal: &mut ReplayJournal<W::Job, W::Checkpoint>,
+/// The degraded state: consume inbound jobs into the journal without
+/// processing them, until `every` has elapsed (time for a rejoin
+/// attempt) or the channel disconnects (drain: attempt a final rejoin
+/// now). Returns `true` on disconnection.
+fn degraded_wait<J, C>(
+    rx: &PolicyReceiver<J>,
+    journal: &mut ReplayJournal<J, C>,
     every: Duration,
     shared: &WorkerShared,
 ) -> bool {
@@ -349,7 +385,6 @@ fn degraded_wait<W: SupervisedWorker>(
         let slice = (wait - elapsed).min(Duration::from_millis(20));
         match rx.recv_timeout(slice) {
             Ok(job) => {
-                worker.journal_job(&job);
                 journal.push(job);
                 shared.journal_len.store(journal.len() as u64, Ordering::SeqCst);
             }
@@ -386,7 +421,6 @@ fn run_once<W: SupervisedWorker>(
     // Live phase: journal *before* processing, so a crash mid-batch
     // replays the batch that killed us.
     while let Ok(job) = rx.recv() {
-        worker.journal_job(&job);
         journal.push(job.clone());
         shared.journal_len.store(journal.len() as u64, Ordering::SeqCst);
         if step(worker, &mut state, job, worker_index, shared, faults, false).is_err() {
@@ -395,7 +429,6 @@ fn run_once<W: SupervisedWorker>(
         if let Some(every) = worker.checkpoint_every() {
             if journal.len() as u64 >= every {
                 if let Some(cp) = worker.take_checkpoint(&mut state) {
-                    worker.journal_checkpoint(&cp);
                     journal.install(cp);
                     shared.checkpoints.fetch_add(1, Ordering::SeqCst);
                     shared.journal_len.store(0, Ordering::SeqCst);
@@ -470,6 +503,22 @@ mod tests {
         assert_eq!(p.backoff_for(3), Duration::from_millis(40));
         assert_eq!(p.backoff_for(4), Duration::from_millis(70));
         assert_eq!(p.backoff_for(30), Duration::from_millis(70));
+    }
+
+    #[test]
+    fn replay_journal_truncates_on_checkpoint() {
+        let mut j: ReplayJournal<u64, &'static str> = ReplayJournal::new();
+        for i in 0..5 {
+            j.push(i);
+        }
+        assert_eq!(j.len(), 5);
+        assert!(j.checkpoint().is_none());
+        j.install("cp");
+        assert_eq!(j.len(), 0, "checkpoint bounds the replay history");
+        assert_eq!(j.checkpoint(), Some(&"cp"));
+        assert_eq!(j.truncations(), 1);
+        j.push(9);
+        assert_eq!(j.jobs(), &[9]);
     }
 
     #[test]

@@ -37,9 +37,8 @@ impl std::error::Error for FibError {}
 
 /// Deterministic 64-bit hash used to totally order same-priority rules.
 /// Precomputed at intern time — an O(1) table read, but still *structural*
-/// (never interning-order-dependent), so the order agrees across
-/// processes: a checkpoint read back from a journal file in a fresh
-/// process must sort its FIBs identically.
+/// (never interning-order-dependent), so the order agrees across runs and
+/// processes.
 pub fn match_hash(m: &Match) -> u64 {
     m.hash64()
 }

@@ -15,9 +15,9 @@
 //! back the moment its prefix reappears in a churn stream. There is
 //! consequently no GC and no generation counter; `MatchId`s stay valid
 //! for the life of the process. Ids are **not** stable across processes
-//! (they depend on interning order): everything that crosses a process
-//! boundary (the wire codec, checkpoints, the journal) serializes the
-//! structural form and re-interns on decode.
+//! (they depend on interning order), so nothing may persist them: a
+//! value that leaves the process must carry the structural form
+//! ([`crate::Match::kinds`]) and re-intern it.
 //!
 //! Concurrency: the write side is sharded — the structural hash of the
 //! kinds picks one of [`INTERN_SHARDS`] independent mutexes, each owning

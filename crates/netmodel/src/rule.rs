@@ -119,8 +119,8 @@ fn top_bits(value: u64, w: u32, len: u32) -> u64 {
 /// exactly once in the table's packed pool. Equality is an id compare
 /// (sound: the table dedups on structure) and hashing uses the
 /// precomputed structural hash, so `Match` keys cost O(1) regardless of
-/// field count. Handles are only meaningful within the interning process
-/// — serialization goes through [`Match::kinds`] / [`Match::from_kinds`].
+/// field count. Handles are only meaningful within the interning process:
+/// [`Match::kinds`] and [`Match::intern`] convert to and from values.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Match {
     id: MatchId,
@@ -157,13 +157,6 @@ impl Match {
         Match::intern(&kinds)
     }
 
-    /// Rebuilds a match from its per-field constraints (one entry per
-    /// layout field, in field order) — the wire-decoding counterpart of
-    /// [`Match::kinds`].
-    pub fn from_kinds(kinds: Vec<MatchKind>) -> Self {
-        Match::intern(&kinds)
-    }
-
     /// A destination-prefix match (field 0 by convention), interned once.
     pub fn dst_prefix(layout: &HeaderLayout, value: u64, len: u32) -> Self {
         let mut kinds = vec![MatchKind::Any; layout.field_count()];
@@ -171,8 +164,7 @@ impl Match {
         Match::intern(&kinds)
     }
 
-    /// This match's interning handle — the key consumers (the match memo,
-    /// the wire codec's per-frame dictionaries) index on.
+    /// This match's interning handle — the key the match memo indexes on.
     pub fn id(&self) -> MatchId {
         self.id
     }

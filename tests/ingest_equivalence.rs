@@ -220,7 +220,7 @@ fn pool(
         restart: flash_core::RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,
-        recovery: Default::default(),
+        checkpoint_every: None,
         query_hub: None,
     })
     .unwrap()

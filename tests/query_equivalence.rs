@@ -354,3 +354,129 @@ fn what_if_leaves_snapshots_untouched() {
     drop(a1);
     pool.drain(Duration::from_secs(30));
 }
+
+/// The verdict `flash-cli query` prints for a reach answer. Raw class
+/// counts may differ between plans where a class spans shards; this may
+/// not.
+fn verdict(a: &QueryAnswer) -> &'static str {
+    match a.kind {
+        AnswerKind::Reach { classes: 0, .. } => "EMPTY",
+        AnswerKind::Reach { classes, reachable } if reachable == classes => "HOLDS",
+        _ => "VIOLATED",
+    }
+}
+
+/// A FIB on the ring that leaves the top quarter of `dst` to every
+/// switch's default drop: below it, every device forwards round the
+/// ring, and random longer prefixes divert slices of that.
+fn fib_below_top_quarter(net: &Net, rng: &mut StdRng) -> Vec<(DeviceId, RuleUpdate)> {
+    let width = net.layout.field(FieldId(0)).width;
+    let mut fib = Vec::new();
+    let mut named = std::collections::HashSet::new();
+    for (i, &dev) in net.devs.iter().enumerate() {
+        for (value, len) in [(0x00, 1), (0x80, 2)] {
+            let rule = Rule::new(
+                Match::dst_prefix(&net.layout, value, len),
+                0,
+                net.fwd[(i + 1) % 6],
+            );
+            fib.push((dev, RuleUpdate::insert(rule)));
+        }
+    }
+    while fib.len() < 36 {
+        let dev = net.devs[rng.gen_range(0..6)];
+        let len = rng.gen_range(2..=width);
+        let value = (rng.gen::<u64>() & ((1u64 << len) - 1)) << (width - len);
+        if value >> (width - 2) == 3 || !named.insert((dev, value, len)) {
+            continue;
+        }
+        let rule = Rule::new(
+            Match::dst_prefix(&net.layout, value, len),
+            len as i64,
+            net.fwd[rng.gen_range(0..6)],
+        );
+        fib.push((dev, RuleUpdate::insert(rule)));
+    }
+    fib
+}
+
+/// Loads `fib` into a pool over `plan` with a query hub, as one bulk
+/// snapshot or as blocks of 8, and answers `qs` from the hub.
+fn pool_verdicts(
+    net: &Net,
+    plan: &SubspacePlan,
+    fib: &[(DeviceId, RuleUpdate)],
+    bulk: bool,
+    qs: &[Query],
+) -> Vec<&'static str> {
+    let hub = QueryHub::new(plan.len());
+    let mut cfg = pool_config(net, plan.clone(), 2);
+    cfg.query_hub = Some(Arc::clone(&hub));
+    let mut pool = ShardPool::spawn(cfg).expect("pool spawns");
+    if bulk {
+        pool.ingest(fib.to_vec())
+            .expect("the pool accepts bulk ingest");
+        pool.seal_snapshot(net.devs.clone())
+            .expect("the pool accepts a seal");
+        pool.recv_epoch(Duration::from_secs(120))
+            .expect("seal epoch completes");
+    }
+    for block in fib.chunks(8).filter(|_| !bulk) {
+        pool.submit(block.to_vec());
+        pool.recv_epoch(Duration::from_secs(120))
+            .expect("epoch completes");
+    }
+    let answers = answer_from_hub(net, plan, &hub, qs);
+    pool.drain(Duration::from_secs(30));
+    assert!(
+        answers.iter().all(|a| a.missing.is_empty()),
+        "a shard published no model"
+    );
+    answers.iter().map(verdict).collect()
+}
+
+/// A reach verdict must not depend on the sharding: the same FIB and
+/// questions answer alike at 1, 2, 4 and 8 shards and on an uneven plan,
+/// loaded in bulk or as blocks — also for questions about the quarter no
+/// rule names, whose shard never receives an update.
+#[test]
+fn verdicts_do_not_depend_on_the_shard_count() {
+    let net = ring6();
+    let width = net.layout.field(FieldId(0)).width;
+    let mut plans: Vec<SubspacePlan> = (0..=3)
+        .map(|bits| SubspacePlan::by_prefix_bits(&net.layout, FieldId(0), bits))
+        .collect();
+    plans.push(SubspacePlan::by_prefixes(
+        FieldId(0),
+        &[(0x00, 1), (0x80, 2), (0xC0, 2)],
+    ));
+    for seed in [1u64, 2, 3] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fib = fib_below_top_quarter(&net, &mut rng);
+        // Every other question lies inside the top quarter.
+        let qs: Vec<Query> = (0..24u64)
+            .map(|i| {
+                let src = rng.gen_range(0..6);
+                let len = rng.gen_range(2 * (1 - i % 2) as u32..=width);
+                let value = (rng.gen::<u64>() & ((1u64 << len) - 1)) << (width - len);
+                Query::Reach {
+                    src: net.devs[src],
+                    dst: net.devs[(src + rng.gen_range(1..6)) % 6],
+                    prefix_value: value | (3 * (1 - i % 2)) << (width - 2),
+                    prefix_len: len,
+                }
+            })
+            .collect();
+        for bulk in [true, false] {
+            let one = pool_verdicts(&net, &plans[0], &fib, bulk, &qs);
+            assert!(
+                one.contains(&"HOLDS") && !one.contains(&"EMPTY"),
+                "seed {seed}: {one:?}"
+            );
+            for plan in &plans[1..] {
+                let many = pool_verdicts(&net, plan, &fib, bulk, &qs);
+                assert_eq!(many, one, "seed {seed}, bulk {bulk}: {} shards", plan.len());
+            }
+        }
+    }
+}

@@ -1,5 +1,5 @@
-//! Crash recovery, durable journals and graceful degradation — the
-//! fault-tolerance contract of the persistent shard pool:
+//! Crash recovery and graceful degradation — the fault-tolerance
+//! contract of the persistent shard pool:
 //!
 //! * a pool taking periodic checkpoints whose workers are killed (or
 //!   stalled) mid-stream must produce, per epoch, **exactly** the
@@ -9,106 +9,32 @@
 //!   wedging the pipeline — epochs are released partially, tagged with
 //!   the degraded shards — and a later successful rejoin delivers the
 //!   missing verdicts late, keeping the *cumulative* verdict stream
-//!   complete;
-//! * the durable epoch journal is rotated on every checkpoint, so its
-//!   size is bounded by the checkpoint interval, and replaying a
-//!   checkpoint is equivalent to replaying from genesis (byte-identical
-//!   class fingerprints).
+//!   complete.
 //!
 //! Chaos knobs (used by the CI chaos lane): `FLASH_CHAOS_ITERS`
-//! overrides the property-test case count, `PROPTEST_RNG_SEED` pins the
-//! sampler, and `FLASH_ARTIFACT_DIR` redirects journal scratch space so
-//! failing runs leave their journals behind as artifacts.
+//! overrides the property-test case count, and `PROPTEST_RNG_SEED` pins
+//! the sampler.
 
+#[path = "common/diamond.rs"]
+mod diamond;
+
+use diamond::{cycle_key, diamond, loop_blocks, whole_space_reference, Net};
 use flash_core::{
-    EpochJournal, EpochReport, FaultPlan, HangSpec, JournalEntry, JournalTail, KillSpec,
-    Property, PropertyReport, RecoveryOptions, RestartPolicy, ShardPool, ShardPoolConfig,
-    SubspaceVerifier, SubspaceVerifierConfig,
+    EpochReport, FaultPlan, HangSpec, KillSpec, Property, PropertyReport, RestartPolicy,
+    ShardPool, ShardPoolConfig,
 };
-use flash_imt::{SubspacePlan, SubspaceSpec};
-use flash_netmodel::{
-    ActionTable, DeviceId, FieldId, HeaderLayout, Match, Rule, RuleUpdate, Topology,
-};
+use flash_imt::SubspacePlan;
+use flash_netmodel::{DeviceId, FieldId, Match, Rule, RuleUpdate};
 use std::collections::HashSet;
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-struct Net {
-    topo: Arc<Topology>,
-    devs: Vec<DeviceId>,
-    actions: Arc<ActionTable>,
-    fwd: Vec<flash_netmodel::ActionId>,
-    layout: HeaderLayout,
-}
-
-/// The diamond-with-chord of `shard_equivalence.rs`.
-fn diamond() -> Net {
-    let mut t = Topology::new();
-    let a = t.add_device("a");
-    let b = t.add_device("b");
-    let c = t.add_device("c");
-    let d = t.add_device("d");
-    t.add_bilink(a, b);
-    t.add_bilink(b, c);
-    t.add_bilink(c, d);
-    t.add_bilink(d, a);
-    t.add_bilink(a, c);
-    let layout = HeaderLayout::new(&[("dst", 8)]);
-    let mut at = ActionTable::new();
-    let fwd = [a, b, c, d].iter().map(|&x| at.fwd(x)).collect();
-    Net {
-        topo: Arc::new(t),
-        devs: vec![a, b, c, d],
-        actions: Arc::new(at),
-        fwd,
-        layout,
-    }
-}
-
-/// A 10-block stream: the 5-block loop scenario of
-/// `shard_equivalence.rs` (a 2-cycle lands in block 2, a 3-cycle in
-/// block 4, loops are never removed) followed by 5 blocks of loop-free
-/// churn — long enough for several checkpoint rotations and kills at
-/// varied offsets.
+/// A 10-block stream: the 5-block loop scenario (a 2-cycle lands in
+/// block 2, a 3-cycle in block 4, loops are never removed) followed by 5
+/// blocks of loop-free churn — long enough for several checkpoints and
+/// kills at varied offsets.
 fn blocks(net: &Net) -> Vec<Vec<(DeviceId, RuleUpdate)>> {
-    let l = &net.layout;
-    let q = |i: u64| Match::dst_prefix(l, i << 6, 2);
-    let p = |i: u64, v: u64| Match::dst_prefix(l, (i << 6) | (v << 2), 6);
-    let mut out: Vec<Vec<(DeviceId, RuleUpdate)>> = Vec::new();
-    // Block 0: device i owns quarter i, forwarding to i+1 (chain).
-    out.push(
-        (0..4)
-            .map(|i| {
-                (
-                    net.devs[i],
-                    RuleUpdate::insert(Rule::new(q(i as u64), 2, net.fwd[(i + 1) % 4])),
-                )
-            })
-            .collect(),
-    );
-    // Block 1: loop-free priority churn.
-    out.push(vec![
-        (net.devs[0], RuleUpdate::insert(Rule::new(p(0, 3), 6, net.fwd[2]))),
-        (net.devs[2], RuleUpdate::insert(Rule::new(p(2, 5), 6, net.fwd[3]))),
-        (net.devs[3], RuleUpdate::insert(Rule::new(p(3, 1), 6, net.fwd[0]))),
-    ]);
-    // Block 2: a 2-cycle a↔b on a slice of quarter 1.
-    out.push(vec![
-        (net.devs[0], RuleUpdate::insert(Rule::new(p(1, 7), 6, net.fwd[1]))),
-        (net.devs[1], RuleUpdate::insert(Rule::new(p(1, 7), 6, net.fwd[0]))),
-    ]);
-    // Block 3: a delete plus a fresh insert.
-    out.push(vec![
-        (net.devs[0], RuleUpdate::delete(Rule::new(p(0, 3), 6, net.fwd[2]))),
-        (net.devs[2], RuleUpdate::insert(Rule::new(p(2, 9), 6, net.fwd[1]))),
-    ]);
-    // Block 4: a 3-cycle b→c→d→b on a slice of quarter 3.
-    out.push(vec![
-        (net.devs[1], RuleUpdate::insert(Rule::new(p(3, 11), 6, net.fwd[2]))),
-        (net.devs[2], RuleUpdate::insert(Rule::new(p(3, 11), 6, net.fwd[3]))),
-        (net.devs[3], RuleUpdate::insert(Rule::new(p(3, 11), 6, net.fwd[1]))),
-    ]);
+    let p = |i: u64, v: u64| Match::dst_prefix(&net.layout, (i << 6) | (v << 2), 6);
+    let mut out = loop_blocks(net);
     // Blocks 5–9: more loop-free churn (block-1-shaped inserts whose
     // targets have no covering rule for the slice, so paths terminate),
     // one delete, distinct /6 slices throughout.
@@ -133,50 +59,6 @@ fn blocks(net: &Net) -> Vec<Vec<(DeviceId, RuleUpdate)>> {
     out
 }
 
-fn cycle_key(cycle: &[DeviceId]) -> Vec<u32> {
-    let mut k: Vec<u32> = cycle.iter().map(|d| d.0).collect();
-    k.sort_unstable();
-    k
-}
-
-struct RefState {
-    cycles_by_block: Vec<HashSet<Vec<u32>>>,
-    classes_by_block: Vec<HashSet<u64>>,
-}
-
-/// Sequential whole-space reference, same flush/detect boundaries.
-fn whole_space_reference(net: &Net, stream: &[Vec<(DeviceId, RuleUpdate)>]) -> RefState {
-    let mut v = SubspaceVerifier::new(SubspaceVerifierConfig {
-        topo: net.topo.clone(),
-        actions: net.actions.clone(),
-        layout: net.layout.clone(),
-        subspace: SubspaceSpec::whole(),
-        bst: usize::MAX,
-        properties: vec![Property::LoopFreedom],
-    });
-    let mut cycles = HashSet::new();
-    let mut st = RefState { cycles_by_block: Vec::new(), classes_by_block: Vec::new() };
-    for block in stream {
-        let mut devs = Vec::new();
-        for (d, u) in block {
-            v.ingest(*d, vec![*u]);
-            if !devs.contains(d) {
-                devs.push(*d);
-            }
-        }
-        v.flush();
-        for r in v.detect(&devs) {
-            if let PropertyReport::LoopFound { cycle } = r {
-                cycles.insert(cycle_key(&cycle));
-            }
-        }
-        st.cycles_by_block.push(cycles.clone());
-        st.classes_by_block
-            .push(v.manager().class_keys().into_iter().collect());
-    }
-    st
-}
-
 fn base_config(net: &Net, threads: usize) -> ShardPoolConfig {
     ShardPoolConfig {
         topo: net.topo.clone(),
@@ -190,18 +72,9 @@ fn base_config(net: &Net, threads: usize) -> ShardPoolConfig {
         restart: RestartPolicy::default(),
         collect_class_keys: true,
         faults: None,
-        recovery: RecoveryOptions::default(),
+        checkpoint_every: None,
         query_hub: None,
     }
-}
-
-/// Scratch space for durable journals. `FLASH_ARTIFACT_DIR` (the CI
-/// chaos lane) redirects it so failing runs leave journals behind.
-fn scratch_dir(tag: &str) -> PathBuf {
-    let base = std::env::var_os("FLASH_ARTIFACT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir);
-    base.join(format!("flash-recovery-{}-{tag}", std::process::id()))
 }
 
 /// Drives `cfg` over the stream one epoch at a time and asserts full
@@ -270,7 +143,7 @@ fn checkpointed_restarts_match_unfaulted_run() {
 fn checkpointed_restarts_match_unfaulted_run_at(workers: usize) {
     let net = diamond();
     let mut cfg = base_config(&net, workers);
-    cfg.recovery.checkpoint_every = Some(2);
+    cfg.checkpoint_every = Some(2);
     let kills = [
         KillSpec { worker: 0, after_batches: 3 },
         KillSpec { worker: 1, after_batches: 6 },
@@ -317,7 +190,7 @@ fn degraded_worker_rejoins_and_cumulative_verdicts_complete() {
         backoff_cap: Duration::from_millis(20),
         rejoin_backoff: Some(Duration::from_millis(300)),
     };
-    cfg.recovery.checkpoint_every = Some(2);
+    cfg.checkpoint_every = Some(2);
     cfg.faults = Some(FaultPlan {
         kill_workers: vec![KillSpec { worker: 1, after_batches: 2 }],
         ..FaultPlan::default()
@@ -383,7 +256,7 @@ fn degraded_worker_rejoins_and_cumulative_verdicts_complete() {
 fn kill_and_hang_are_invisible_at_3_workers() {
     let net = diamond();
     let mut cfg = base_config(&net, 3);
-    cfg.recovery.checkpoint_every = Some(2);
+    cfg.checkpoint_every = Some(2);
     cfg.faults = Some(FaultPlan {
         kill_workers: vec![KillSpec { worker: 1, after_batches: 3 }],
         hang_workers: vec![HangSpec {
@@ -396,91 +269,6 @@ fn kill_and_hang_are_invisible_at_3_workers() {
     let stats = assert_stream_equivalence(&net, cfg, "kill+hang x3");
     let restarts: Vec<u32> = stats.iter().map(|s| s.restarts).collect();
     assert_eq!(restarts, vec![0, 1, 0], "the kill restarts once, the hang never");
-}
-
-// ---------------------------------------------------------------------
-// Durable journal.
-// ---------------------------------------------------------------------
-
-/// The on-disk journal is rotated on every checkpoint (size bounded by
-/// the interval), ends cleanly, and its checkpoint is *equivalent to
-/// genesis replay*: rebuilding each shard from scratch over the blocks
-/// the checkpoint covers yields byte-identical class fingerprints.
-#[test]
-fn durable_journal_is_bounded_and_checkpoint_matches_genesis_replay() {
-    let net = diamond();
-    let stream = blocks(&net);
-    let dir = scratch_dir("journal");
-    let _ = std::fs::remove_dir_all(&dir);
-    let every = 3u64;
-    let mut cfg = base_config(&net, 2);
-    let plan = cfg.plan.clone();
-    cfg.recovery.checkpoint_every = Some(every);
-    cfg.recovery.journal_dir = Some(dir.clone());
-    {
-        let mut pool = ShardPool::spawn(cfg).unwrap();
-        for (k, block) in stream.iter().enumerate() {
-            pool.submit(block.clone());
-            let e = pool.recv_epoch(Duration::from_secs(60)).expect("epoch");
-            assert_eq!(e.seq, k as u64);
-        }
-        let out = pool.drain(Duration::from_secs(60));
-        assert!(out.abandoned.is_empty());
-        for s in &out.stats {
-            assert!(s.checkpoints >= 2, "10 blocks / interval 3 → several rotations");
-        }
-    }
-    for w in 0..2usize {
-        let path = dir.join(format!("worker-{w}.fjl"));
-        let (entries, tail) = EpochJournal::read_entries(&path).unwrap();
-        assert_eq!(tail, JournalTail::Clean, "worker {w} journal must end cleanly");
-        // Rotation bound: exactly one checkpoint, as the first frame,
-        // followed by at most `every` journaled jobs.
-        assert!(
-            matches!(entries.first(), Some(JournalEntry::Checkpoint(_))),
-            "worker {w}: rotated journal must lead with its checkpoint"
-        );
-        let jobs_after = entries.len() - 1;
-        assert!(
-            entries.iter().skip(1).all(|e| !matches!(e, JournalEntry::Checkpoint(_))),
-            "worker {w}: exactly one checkpoint per rotated journal"
-        );
-        assert!(
-            jobs_after as u64 <= every,
-            "worker {w}: {jobs_after} journaled jobs exceed the checkpoint interval {every}"
-        );
-        // Checkpoint ≡ genesis: replay the covered prefix from scratch,
-        // per shard, and compare fingerprints byte for byte.
-        let (cp, _jobs) = EpochJournal::recover(&path).unwrap();
-        let cp = cp.expect("checkpoint present");
-        assert_ne!(cp.last_seq, u64::MAX);
-        for scp in &cp.shards {
-            assert!(scp.built, "every shard saw block 0");
-            let mut v = SubspaceVerifier::new(SubspaceVerifierConfig {
-                topo: net.topo.clone(),
-                actions: net.actions.clone(),
-                layout: net.layout.clone(),
-                subspace: plan.subspaces[scp.shard],
-                bst: usize::MAX,
-                properties: vec![Property::LoopFreedom],
-            });
-            for block in stream.iter().take(cp.last_seq as usize + 1) {
-                for (d, u) in block {
-                    v.ingest(*d, vec![*u]);
-                }
-                v.flush();
-            }
-            let mut genesis: Vec<u64> = v.manager().class_keys();
-            genesis.sort_unstable();
-            genesis.dedup();
-            assert_eq!(
-                genesis, scp.class_fingerprints,
-                "shard {}: checkpoint fingerprints must equal genesis replay",
-                scp.shard
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -514,7 +302,7 @@ mod chaos {
         ) {
             let net = diamond();
             let mut cfg = base_config(&net, threads);
-            cfg.recovery.checkpoint_every = Some(every);
+            cfg.checkpoint_every = Some(every);
             let mut kills = vec![KillSpec { worker: 0, after_batches: kill_a }];
             if threads > 1 {
                 kills.push(KillSpec { worker: 1, after_batches: kill_b });
